@@ -132,5 +132,31 @@ def forest_predict(forest: Forest, row: np.ndarray) -> float:
     return float(np.mean(votes))
 
 
+def _tree_values(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf value of every row, walking all rows down the tree together."""
+    feature = np.array(tree.feature, dtype=np.int64)
+    threshold = np.array(tree.threshold, dtype=np.float64)
+    left = np.array(tree.left, dtype=np.int64)
+    right = np.array(tree.right, dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while rows.size:
+        at = node[rows]
+        inner = left[at] != -1
+        rows, at = rows[inner], at[inner]
+        go_left = x[rows, feature[at]] <= threshold[at]
+        node[rows] = np.where(go_left, left[at], right[at])
+    return np.array(tree.value, dtype=np.float64)[node]
+
+
 def forest_predict_many(forest: Forest, x: np.ndarray) -> np.ndarray:
-    return np.array([forest_predict(forest, row) for row in np.asarray(x, dtype=np.float64)])
+    """``forest_predict`` of every row of ``x``, with the same rounding."""
+    x = np.asarray(x, dtype=np.float64)
+    votes = np.empty((x.shape[0], len(forest.trees)), dtype=np.float64)
+    for j, tree in enumerate(forest.trees):
+        votes[:, j] = _tree_values(tree, x)
+    if forest.vote == "hard":
+        votes = votes > 0.5
+    # A mean along the contiguous last axis sums each row pairwise, as
+    # np.mean does over one row's votes.
+    return votes.mean(axis=1)

@@ -9,7 +9,8 @@ margin is the winner's kill count minus the loser's.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; perfbench/spans.py swaps this name for its traced pool.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -139,21 +140,81 @@ def games_from_records(records: list[TeamGameRecord]) -> list[GameResult]:
     return games
 
 
-def _encode(games: list[GameResult], state: ScopeState, config: ScopeConfig):
+@dataclass(frozen=True)
+class _Lattice:
+    """Per-configuration parameters as vectors, one entry per config."""
+
+    base_k: np.ndarray
+    cutoff: np.ndarray
+    keep: np.ndarray  # 1 - reduction
+    regression: np.ndarray
+    initial: np.ndarray
+    mov_pairs: list[tuple[int, float]]  # distinct (MoV code, w90) pairs
+    mov_group: np.ndarray  # each config's index into mov_pairs
+
+
+def _lattice(configs: list[ScopeConfig]) -> _Lattice:
+    pairs: dict[tuple[int, float], int] = {}
+    group = [pairs.setdefault((MOV_CODES[c.mov_func], c.w90), len(pairs)) for c in configs]
+
+    def vector(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.float64)
+
+    return _Lattice(
+        base_k=vector(c.base_k for c in configs),
+        cutoff=vector(c.cutoff for c in configs),
+        keep=vector(1.0 - c.reduction for c in configs),
+        regression=vector(c.regression for c in configs),
+        initial=vector(c.initial_rating for c in configs),
+        mov_pairs=list(pairs),
+        mov_group=np.array(group, dtype=np.int64),
+    )
+
+
+def _team_index(spans: list[list[GameResult]], known) -> dict[str, int]:
     teams: dict[str, int] = {}
-    for g in games:
-        for t in (g.team, g.opponent):
-            teams.setdefault(t, len(teams))
-    for t in state.ratings:
+    for games in spans:
+        for g in games:
+            for t in (g.team, g.opponent):
+                teams.setdefault(t, len(teams))
+    for t in known:
         teams.setdefault(t, len(teams))
-    ratings = np.full(len(teams), config.initial_rating, dtype=np.float64)
-    for t, r in state.ratings.items():
-        ratings[teams[t]] = r
+    return teams
+
+
+def _lattice_pass(
+    games: list[GameResult],
+    teams: dict[str, int],
+    lattice: _Lattice,
+    ratings: np.ndarray,
+    threshold: float,
+    score_from: int,
+    **outputs,
+) -> np.ndarray:
+    """Walk ``games`` once for every config; see ``kernels.scope_pass``."""
     team_idx = np.array([teams[g.team] for g in games], dtype=np.int64)
     opp_idx = np.array([teams[g.opponent] for g in games], dtype=np.int64)
     team_won = np.array([1 if g.winner == g.team else 0 for g in games], dtype=np.uint8)
-    kill_diff = np.array([g.kill_diff for g in games], dtype=np.float64)
-    return teams, ratings, team_idx, opp_idx, team_won, kill_diff
+    mov = kernels.mov_table([g.kill_diff for g in games], lattice.mov_pairs)
+    return kernels.scope_pass(
+        team_idx,
+        opp_idx,
+        team_won,
+        mov,
+        lattice.mov_group,
+        ratings,
+        lattice.base_k,
+        lattice.cutoff,
+        lattice.keep,
+        float(threshold),
+        score_from,
+        **outputs,
+    )
+
+
+def _lattice_regress(ratings: np.ndarray, lattice: _Lattice) -> np.ndarray:
+    # Teams not yet seen sit at the initial rating, which regression keeps.
+    return ratings + lattice.regression * (lattice.initial - ratings)
 
 
 def _run_pass(
@@ -163,39 +224,29 @@ def _run_pass(
     threshold: float,
     score_from: int,
 ) -> ScopeEvalResult:
-    teams, ratings, team_idx, opp_idx, team_won, kill_diff = _encode(games, state, config)
+    teams = _team_index([games], state.ratings)
+    ratings = np.full((len(teams), 1), config.initial_rating, dtype=np.float64)
+    for t, r in state.ratings.items():
+        ratings[teams[t], 0] = r
     n = len(games)
-    correct = np.zeros(n, dtype=np.uint8)
-    trace_team = np.zeros(n, dtype=np.float64)
-    trace_opp = np.zeros(n, dtype=np.float64)
-    n_correct = kernels.scope_pass(
-        team_idx,
-        opp_idx,
-        team_won,
-        kill_diff,
-        ratings,
-        float(config.base_k),
-        float(config.cutoff),
-        float(config.reduction),
-        MOV_CODES[config.mov_func],
-        float(config.w90),
-        float(threshold),
-        score_from,
-        correct,
-        trace_team,
-        trace_opp,
+    correct = np.zeros((n, 1), dtype=np.uint8)
+    trace_team = np.zeros((n, 1), dtype=np.float64)
+    trace_opp = np.zeros((n, 1), dtype=np.float64)
+    n_correct = _lattice_pass(
+        games, teams, _lattice([config]), ratings, threshold, score_from,
+        correct_out=correct, trace_team=trace_team, trace_opp=trace_opp,
     )
     scored = n - score_from
     new_state = ScopeState(
-        ratings={t: float(ratings[i]) for t, i in teams.items()},
+        ratings={t: float(ratings[i, 0]) for t, i in teams.items()},
         games_processed=state.games_processed + n,
     )
     return ScopeEvalResult(
-        accuracy=(float(n_correct) / scored) if scored > 0 else float("nan"),
+        accuracy=(float(n_correct[0]) / scored) if scored > 0 else float("nan"),
         n_games=scored,
-        correct=correct[score_from:],
+        correct=correct[score_from:, 0],
         state=new_state,
-        trace=[(g.game_id, float(trace_team[i]), float(trace_opp[i])) for i, g in enumerate(games)],
+        trace=[(g.game_id, float(trace_team[i, 0]), float(trace_opp[i, 0])) for i, g in enumerate(games)],
     )
 
 
@@ -255,12 +306,12 @@ def scope_grid_search(
     val_games: list[GameResult],
     grid: dict[str, list] | None = None,
     predict_threshold: float = 0.5,
-    threads: int = 1,
 ) -> tuple[ScopeConfig, list[tuple[ScopeConfig, float]]]:
     """Exhaustive lattice search scored on the validation span.
 
     Each configuration initializes on the training span, regresses at the
-    season boundary, then predicts the validation span.  Ties keep the
+    season boundary, then predicts the validation span.  All configurations
+    advance together, one pass over each span.  Ties keep the
     lexicographically first configuration (lattice enumeration order).
     """
     if grid is None:
@@ -268,17 +319,15 @@ def scope_grid_search(
     configs = grid_configs(grid)
     if not configs:
         raise ValueError("empty grid")
-
-    def evaluate(cfg: ScopeConfig) -> float:
-        state = scope_advance(train_games, cfg)
-        state = scope_season_regress(state, cfg)
-        return scope_evaluate(val_games, cfg, predict_threshold, state).accuracy
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(evaluate, configs))
-    else:
-        accs = [evaluate(cfg) for cfg in configs]
+    if not val_games:
+        raise ValueError("empty test span")
+    lattice = _lattice(configs)
+    teams = _team_index([train_games, val_games], ())
+    ratings = np.tile(lattice.initial, (len(teams), 1))
+    _lattice_pass(train_games, teams, lattice, ratings, predict_threshold, len(train_games))
+    ratings = _lattice_regress(ratings, lattice)
+    n_correct = _lattice_pass(val_games, teams, lattice, ratings, predict_threshold, 0)
+    accs = [c / len(val_games) for c in n_correct.tolist()]
     table = list(zip(configs, accs))
     best = max(range(len(configs)), key=lambda i: accs[i])  # ties -> lowest index
     return configs[best], table
@@ -299,10 +348,9 @@ def scope_protocol(
     test_games: list[GameResult],
     grid: dict[str, list] | None = None,
     predict_threshold: float = 0.5,
-    threads: int = 1,
 ) -> ScopeProtocolResult:
     """Three-season protocol: initialize, grid-search on validation, score test."""
-    best, table = scope_grid_search(init_games, val_games, grid, predict_threshold, threads)
+    best, table = scope_grid_search(init_games, val_games, grid, predict_threshold)
     state = scope_advance(init_games, best)
     state = scope_season_regress(state, best)
     val_result = scope_evaluate(val_games, best, predict_threshold, state)

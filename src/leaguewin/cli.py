@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help="GCN grid-search worker threads")
         p.add_argument("--mode", choices=["raw", "delta"], help="feature dataset mode")
         p.add_argument("--model", choices=["gcn", "gcn-cheby"], help="propagation variant")
         p.add_argument("--layers", type=int, help="graph-convolution layer count")
@@ -303,7 +303,7 @@ def _cmd_baseline_scope(args) -> None:
         if not recs:
             raise ValueError(f"no {args.league} games for season {season}")
         spans.append(sc.games_from_records(recs))
-    result = sc.scope_protocol(spans[0], spans[1], spans[2], grid, threads=args.threads)
+    result = sc.scope_protocol(spans[0], spans[1], spans[2], grid)
     out_dir = _out_dir(args)
     table_lines = [",".join(sc.GRID_FIELDS) + ",val_accuracy"]
     for cfg, acc in result.table:
@@ -352,7 +352,7 @@ def _cmd_compare(args) -> None:
         config = gcn.TrainConfig(**doc)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report = experiment.compare_all(records, plan, config, threads=args.threads)
+    report = experiment.compare_all(records, plan, config)
     _write_report(args, report, "compare_report")
     for row in report.rows:
         acc = "skipped" if row.test_accuracy is None else f"{row.test_accuracy:.4f}"

@@ -283,7 +283,6 @@ def compare_all(
     gcn_config: gcn.TrainConfig | None = None,
     scope_grid: dict[str, list] | None = None,
     rf_seeds: int = 10,
-    threads: int = 1,
     spec: FeatureSpec | None = None,
 ) -> ExperimentReport:
     """One table with the standard six comparison rows.
@@ -306,7 +305,7 @@ def compare_all(
         rows.append(row)
 
     rows.append(random_forest_row(records, plan, lookback=5, mode="delta", seeds=rf_seeds, spec=spec))
-    rows.append(scope_row(records, plan, scope_grid, threads=threads))
+    rows.append(scope_row(records, plan, scope_grid))
 
     config = replace(gcn_config, hidden_dims=[64], propagator_kind=lg.CHEBYSHEV)
     row, _, _ = run_cross_league(records, plan, config, "delta", spec)
@@ -354,7 +353,6 @@ def scope_row(
     records: list[TeamGameRecord],
     plan: SplitPlan,
     grid: dict[str, list] | None = None,
-    threads: int = 1,
 ) -> ExperimentRow:
     seasons = (plan.season - 2, plan.season - 1, plan.season)
     spans = []
@@ -367,7 +365,7 @@ def scope_row(
                 note=f"skipped: no {plan.test_league} games for season {season}",
             )
         spans.append(sc.games_from_records(recs))
-    result = sc.scope_protocol(spans[0], spans[1], spans[2], grid, threads=threads)
+    result = sc.scope_protocol(spans[0], spans[1], spans[2], grid)
     return ExperimentRow(
         model="scope (elo)",
         dataset="kills",

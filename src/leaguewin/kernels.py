@@ -1,16 +1,18 @@
-"""Hot inner loops, numba-jitted when available.
+"""The two hot loops, written as numpy array passes.
 
-The two kernels here dominate runtime: the sequential Elo rating pass
-(run once per grid-search configuration, ~12k times for the full lattice)
-and the Gini split scan (run at every tree node of every forest).
+``scope_pass`` is the sequential Elo pass.  Elo is sequential over games but
+independent across configurations, so ratings are held as an
+``(n_teams, n_configs)`` array and the games are walked once for the whole
+SCOPE lattice.  ``best_split`` is the Gini split scan run at every tree node
+of every forest; it sorts each candidate feature once and scores every
+threshold from cumulative label counts.
 
-Set ``LEAGUEWIN_NO_NUMBA=1`` to force the pure-Python fallback; the fallback
-executes the exact same function bodies uncompiled, so both paths produce
-identical results.  ``benchmarks/bench_kernels.py`` compares the two.
+Both evaluate the same floating-point expressions, in the same operand
+order, as the scalar rules they replace (``baselines.scope.scope_update``
+and a per-threshold scan), so their results are bit-identical to those.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -19,21 +21,6 @@ MOV_LIN = 1
 MOV_EXP = 2
 MOV_LOG = 3
 MOV_SQRT = 4
-
-NUMBA_ENABLED = False
-if os.environ.get("LEAGUEWIN_NO_NUMBA", "").strip().lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-
-def _maybe_jit(fn):
-    if NUMBA_ENABLED:
-        return njit(cache=True, nogil=True)(fn)
-    return fn
 
 
 def _mov_multiplier(kill_diff, mov_kind, w90):
@@ -50,104 +37,109 @@ def _mov_multiplier(kill_diff, mov_kind, w90):
     return 1.0
 
 
-def _scope_pass(
+def mov_table(kill_diff, pairs):
+    """MoV multiplier of every game under each ``(mov_kind, w90)`` pair.
+
+    Returns a ``(n_games, n_pairs)`` array, computed with the scalar rule.
+    """
+    table = np.empty((len(kill_diff), len(pairs)), dtype=np.float64)
+    for i, d in enumerate(kill_diff):
+        for j, (mov_kind, w90) in enumerate(pairs):
+            table[i, j] = _mov_multiplier(float(d), mov_kind, w90)
+    return table
+
+
+def scope_pass(
     team_idx,
     opp_idx,
     team_won,
-    kill_diff,
+    mov,
+    mov_group,
     ratings,
     base_k,
     cutoff,
-    reduction,
-    mov_kind,
-    w90,
+    keep,
     threshold,
     score_from,
-    correct_out,
-    trace_team,
-    trace_opp,
+    correct_out=None,
+    trace_team=None,
+    trace_opp=None,
 ):
-    """One chronological Elo pass; mutates ``ratings`` in place.
+    """One chronological Elo pass for many configurations at once.
 
-    Games at index >= score_from are scored (predict before update).
-    Returns the number of correct predictions over the scored span.
+    ``ratings`` is ``(n_teams, n_configs)`` and is updated in place.  Config
+    ``c`` uses K ``base_k[c]``, scaled by ``keep[c]`` (1 - reduction) for a
+    side rated above ``cutoff[c]``, and the MoV multiplier
+    ``mov[game, mov_group[c]]``.  Games at index >= score_from are scored
+    (predict before update).  The optional ``(n_games, n_configs)`` outputs
+    receive each game's hits and post-update ratings.
+
+    Returns the number of correct predictions per configuration.
     """
-    n_correct = 0
+    n_correct = np.zeros(ratings.shape[1], dtype=np.int64)
     for i in range(team_idx.shape[0]):
         t = team_idx[i]
         o = opp_idx[i]
         r_t = ratings[t]
         r_o = ratings[o]
-        expected_t = 1.0 / (1.0 + 10.0 ** ((r_o - r_t) / 400.0))
+        # float_power rounds like Python's float ** on every input tried;
+        # np.power's SIMD loop can differ by an ulp.
+        expected_t = 1.0 / (1.0 + np.float_power(10.0, (r_o - r_t) / 400.0))
+        won = team_won[i] == 1
         if i >= score_from:
-            pred_team = expected_t >= threshold
-            hit = pred_team == (team_won[i] == 1)
-            if hit:
-                correct_out[i] = 1
-                n_correct += 1
-        g = _mov_multiplier(float(kill_diff[i]), mov_kind, w90)
-        k_t = base_k * g
-        if r_t > cutoff:
-            k_t *= 1.0 - reduction
-        k_o = base_k * g
-        if r_o > cutoff:
-            k_o *= 1.0 - reduction
-        outcome_t = 1.0 if team_won[i] == 1 else 0.0
-        ratings[t] = r_t + k_t * (outcome_t - expected_t)
-        ratings[o] = r_o + k_o * ((1.0 - outcome_t) - (1.0 - expected_t))
-        trace_team[i] = ratings[t]
-        trace_opp[i] = ratings[o]
+            hit = (expected_t >= threshold) == won
+            n_correct += hit
+            if correct_out is not None:
+                correct_out[i] = hit
+        k = base_k * mov[i][mov_group]
+        k_t = k * np.where(r_t > cutoff, keep, 1.0)
+        k_o = k * np.where(r_o > cutoff, keep, 1.0)
+        outcome_t = 1.0 if won else 0.0
+        new_t = r_t + k_t * (outcome_t - expected_t)
+        new_o = r_o + k_o * ((1.0 - outcome_t) - (1.0 - expected_t))
+        ratings[t] = new_t
+        ratings[o] = new_o
+        if trace_team is not None:
+            trace_team[i] = new_t
+            trace_opp[i] = new_o
     return n_correct
 
 
-def _best_split(x, y, sample_idx, feat_idx, min_leaf):
+def best_split(x, y, sample_idx, feat_idx, min_leaf):
     """Gini-minimizing axis-aligned split over the candidate features.
 
     Thresholds are midpoints between consecutive distinct values; splits
     leaving fewer than min_leaf rows on either side are skipped.  Ties keep
     the first candidate feature and the lowest threshold, so results are
-    deterministic and identical between the jitted and fallback paths.
+    deterministic.
 
     Returns (feature, threshold, gini); feature is -1 when no valid split.
     """
     m = sample_idx.shape[0]
-    best_gini = np.inf
-    best_feat = -1
-    best_thresh = 0.0
-    total_pos = 0
-    for i in range(m):
-        total_pos += y[sample_idx[i]]
-    for j in range(feat_idx.shape[0]):
-        f = feat_idx[j]
-        vals = np.empty(m, dtype=np.float64)
-        for i in range(m):
-            vals[i] = x[sample_idx[i], f]
-        order = np.argsort(vals, kind="mergesort")
-        pos = 0
-        for s in range(m - 1):
-            pos += y[sample_idx[order[s]]]
-            n_left = s + 1
-            n_right = m - n_left
-            if n_right < min_leaf:
-                break
-            v_cur = vals[order[s]]
-            v_next = vals[order[s + 1]]
-            if n_left < min_leaf or v_cur == v_next:
-                continue
-            p_l = pos / n_left
-            p_r = (total_pos - pos) / n_right
-            g_l = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
-            g_r = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
-            g = (n_left * g_l + n_right * g_r) / m
-            if g < best_gini:
-                best_gini = g
-                best_feat = f
-                best_thresh = 0.5 * (v_cur + v_next)
-    return best_feat, best_thresh, best_gini
-
-
-# The rating pass calls the multiplier by global name, so rebind it to the
-# jitted version before compiling the pass itself.
-_mov_multiplier = _maybe_jit(_mov_multiplier)
-scope_pass = _maybe_jit(_scope_pass)
-best_split = _maybe_jit(_best_split)
+    # A cut after sorted position s leaves s + 1 rows left and m - s - 1
+    # right; both sides keep min_leaf rows for s in [lo, hi).
+    lo = max(min_leaf, 1) - 1
+    hi = m - max(min_leaf, 1)
+    if lo >= hi:
+        return -1, 0.0, math.inf
+    vals = x[sample_idx[None, :], feat_idx[:, None]]  # (n_candidates, m)
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = vals[np.arange(feat_idx.shape[0])[:, None], order]
+    # int64 counts: y is int8 and a node can hold more than 127 positives.
+    pos = np.cumsum(y[sample_idx][order], axis=1, dtype=np.int64)
+    total_pos = pos[0, -1]
+    pos = pos[:, lo:hi]
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    n_right = m - n_left
+    p_l = pos / n_left
+    p_r = (total_pos - pos) / n_right
+    q_l = 1.0 - p_l
+    q_r = 1.0 - p_r
+    g_l = 1.0 - p_l * p_l - q_l * q_l
+    g_r = 1.0 - p_r * p_r - q_r * q_r
+    gini = (n_left * g_l + n_right * g_r) / m
+    gini[vals[:, lo:hi] == vals[:, lo + 1 : hi + 1]] = np.inf  # no cut between equal values
+    j, s = divmod(int(np.argmin(gini)), hi - lo)  # first minimum in (candidate, threshold) order
+    if gini[j, s] == np.inf:
+        return -1, 0.0, math.inf
+    return int(feat_idx[j]), float(0.5 * (vals[j, lo + s] + vals[j, lo + s + 1])), float(gini[j, s])

@@ -151,6 +151,18 @@ def test_baseline_scope_cli(season_csv, tmp_path):
     assert 0.0 <= best["test_accuracy"] <= 1.0
 
 
+def test_baseline_scope_cli_reruns_are_byte_identical(season_csv, tmp_path):
+    outs = []
+    for name in ("s1", "s2"):
+        out = tmp_path / name
+        code = cli_main(["baseline-scope", "--data", str(season_csv), "--league", "CCC", "--season", "2020", "--out", str(out)])
+        assert code == 0
+        outs.append(out)
+    assert len((outs[0] / "scope_grid.csv").read_text().splitlines()) == 12001  # the default lattice
+    for name in ("scope_grid.csv", "scope_best.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_baseline_forest_cli(season_csv, plan_json, tmp_path):
     out = tmp_path / "forest_out"
     code = cli_main(

@@ -1,71 +1,137 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import math
+from itertools import product
 
 import numpy as np
+import pytest
 
-from leaguewin import kernels
-
-
-def _python_impl(fn):
-    # The jitted dispatcher keeps the original function as py_func.
-    return getattr(fn, "py_func", fn)
+from leaguewin import kernels, synth
+from leaguewin.baselines import forest as rf
+from leaguewin.baselines import scope as sc
 
 
-def _child_env(**overrides):
-    """Environment for a child interpreter that imports the same leaguewin.
+def scalar_best_split(x, y, sample_idx, feat_idx, min_leaf):
+    """Reference Gini scan: one Python loop per candidate and threshold."""
+    m = len(sample_idx)
+    best = (-1, 0.0, math.inf)
+    total_pos = sum(int(y[i]) for i in sample_idx)
+    for f in feat_idx:
+        vals = [float(x[i, f]) for i in sample_idx]
+        order = sorted(range(m), key=lambda k: vals[k])
+        pos = 0
+        for s in range(m - 1):
+            pos += int(y[sample_idx[order[s]]])
+            n_left, n_right = s + 1, m - s - 1
+            v_cur, v_next = vals[order[s]], vals[order[s + 1]]
+            if n_left < min_leaf or n_right < min_leaf or v_cur == v_next:
+                continue
+            p_l = pos / n_left
+            p_r = (total_pos - pos) / n_right
+            g_l = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
+            g_r = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
+            g = (n_left * g_l + n_right * g_r) / m
+            if g < best[2]:
+                best = (int(f), 0.5 * (v_cur + v_next), g)
+    return best
 
-    Starts from the parent's environment and puts the directory holding the
-    imported package first on PYTHONPATH, so the child finds it whether the
-    package is installed or taken from src/.
-    """
-    env = dict(os.environ)
-    pkg_root = str(Path(kernels.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    env.update(overrides)
-    return env
+
+def random_games(rng, n_games, n_teams):
+    games = []
+    for i in range(n_games):
+        team, opp = rng.choice(n_teams, size=2, replace=False)
+        winner = team if rng.random() < 0.5 + 0.04 * (opp - team) else opp
+        games.append(sc.GameResult(f"g{i}", f"T{team}", f"T{opp}", f"T{winner}", int(rng.integers(0, 30))))
+    return games
 
 
-def _random_games(rng, n_games=300, n_teams=12):
-    team = rng.integers(0, n_teams, size=n_games).astype(np.int64)
-    opp = (team + 1 + rng.integers(0, n_teams - 1, size=n_games)).astype(np.int64) % n_teams
-    won = rng.integers(0, 2, size=n_games).astype(np.uint8)
-    kd = rng.integers(0, 25, size=n_games).astype(np.float64)
-    return team, opp, won, kd
+def scalar_season(games, cfg, state, threshold=0.5):
+    """Predict-then-update over a span with the one-game rule; returns (hits, state)."""
+    hits = 0
+    for g in games:
+        expected = sc.elo_expected(state.rating(g.team, cfg), state.rating(g.opponent, cfg))
+        hits += (expected >= threshold) == (g.winner == g.team)
+        state = sc.scope_update(state, g, cfg)
+    return hits, state
 
 
-def test_scope_pass_jit_matches_python_all_mov_kinds():
+def test_scope_pass_matches_scalar_updates_all_mov_kinds():
     rng = np.random.default_rng(0)
-    for mov_kind in (0, 1, 2, 3, 4):
-        team, opp, won, kd = _random_games(rng)
-        args = (40.0, 1550.0, 0.3, mov_kind, 150.0, 0.5, 50)
-        out = []
-        for fn in (kernels.scope_pass, _python_impl(kernels.scope_pass)):
-            ratings = np.full(12, 1500.0)
-            correct = np.zeros(len(team), dtype=np.uint8)
-            t_team = np.zeros(len(team))
-            t_opp = np.zeros(len(team))
-            n = fn(team, opp, won, kd, ratings, *args, correct, t_team, t_opp)
-            out.append((int(n), ratings.copy(), correct.copy(), t_team.copy()))
-        assert out[0][0] == out[1][0]
-        assert np.array_equal(out[0][2], out[1][2])
-        assert np.allclose(out[0][1], out[1][1], rtol=0, atol=1e-9)
-        assert np.allclose(out[0][3], out[1][3], rtol=0, atol=1e-9)
+    train, val = random_games(rng, 120, 8), random_games(rng, 120, 8)
+    axes = ([0, 17.5, 40], [1480, 1520.0], [0.0, 0.35], sorted(sc.MOV_CODES), [10, 25.0], [0, 0.3])
+    configs = [sc.ScopeConfig(*combo) for combo in product(*axes)]
+    assert {c.mov_func for c in configs} == {"none", "lin", "exp", "log", "sqrt"}
+
+    pairs = sorted({(sc.MOV_CODES[c.mov_func], c.w90) for c in configs})
+    group = np.array([pairs.index((sc.MOV_CODES[c.mov_func], c.w90)) for c in configs])
+    base_k = np.array([c.base_k for c in configs], dtype=np.float64)
+    cutoff = np.array([c.cutoff for c in configs], dtype=np.float64)
+    keep = np.array([1.0 - c.reduction for c in configs])
+    regression = np.array([c.regression for c in configs])
+    teams = {f"T{i}": i for i in range(8)}
+
+    def run(games, ratings, score_from):
+        return kernels.scope_pass(
+            np.array([teams[g.team] for g in games]),
+            np.array([teams[g.opponent] for g in games]),
+            np.array([g.winner == g.team for g in games], dtype=np.uint8),
+            kernels.mov_table([g.kill_diff for g in games], pairs),
+            group, ratings, base_k, cutoff, keep, 0.5, score_from,
+        )
+
+    ratings = np.full((8, len(configs)), 1500.0)
+    run(train, ratings, len(train))
+    ratings = ratings + regression * (1500.0 - ratings)
+    hits = run(val, ratings, 0)
+
+    for c, cfg in enumerate(configs):
+        _, state = scalar_season(train, cfg, sc.ScopeState())
+        state = sc.scope_season_regress(state, cfg)
+        want_hits, state = scalar_season(val, cfg, state)
+        assert hits[c] == want_hits, cfg
+        assert [ratings[i, c] for i in range(8)] == [state.rating(t, cfg) for t in teams], cfg
 
 
-def test_best_split_jit_matches_python():
+def test_scope_pass_records_hits_and_trace_for_one_config():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(200, 8))
-    y = (x[:, 3] + 0.3 * rng.normal(size=200) > 0).astype(np.int8)
-    for trial in range(20):
-        idx = np.sort(rng.integers(0, 200, size=120)).astype(np.int64)
-        feats = rng.permutation(8)[:3].astype(np.int64)
-        jit_out = kernels.best_split(x, y, idx, feats, 2)
-        py_out = _python_impl(kernels.best_split)(x, y, idx, feats, 2)
-        assert jit_out[0] == py_out[0]
-        assert jit_out[1] == py_out[1]
-        assert jit_out[2] == py_out[2]
+    games = random_games(rng, 60, 5)
+    cfg = sc.ScopeConfig(base_k=32.0, cutoff=1510.0, reduction=0.25, mov_func="sqrt", w90=12.0)
+    result = sc.scope_evaluate(games, cfg)
+    state = sc.ScopeState()
+    for i, g in enumerate(games):
+        expected = sc.elo_expected(state.rating(g.team, cfg), state.rating(g.opponent, cfg))
+        assert result.correct[i] == ((expected >= 0.5) == (g.winner == g.team))
+        state = sc.scope_update(state, g, cfg)
+        assert result.trace[i] == (g.game_id, state.ratings[g.team], state.ratings[g.opponent])
+    assert result.state.ratings == state.ratings
+
+
+def test_best_split_matches_scalar_scan():
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        n, d = int(rng.integers(2, 260)), int(rng.integers(1, 7))
+        x = rng.normal(size=(n, d))
+        if trial % 3 == 0:
+            x = np.round(x, 1)  # many tied values
+        if trial % 7 == 0:
+            x[:, 0] = 1.0  # a constant candidate
+        y = (x[:, -1] + rng.normal(size=n) > 0.3 * (trial % 4)).astype(np.int8)
+        idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
+        feats = rng.permutation(d)[: int(rng.integers(1, d + 1))].astype(np.int64)
+        min_leaf = int(rng.choice([1, 2, 3, 5, 20]))
+        got = kernels.best_split(x, y, idx, feats, min_leaf)
+        assert got == scalar_best_split(x, y, idx, feats, min_leaf), (trial, min_leaf)
+
+
+def test_best_split_counts_more_than_127_positives():
+    # 300 rows, 200 of them positive: an int8 counter wraps at 127 and
+    # reports a cut at 158.5 with a negative Gini.  The best cut leaves
+    # 9 of 90 positive on the left and 191 of 210 on the right.
+    i = np.arange(300)
+    x = np.column_stack([i, (i * 37) % 300]).astype(np.float64)
+    y = ((i >= 90) != (i % 11 == 0)).astype(np.int8)
+    assert int(y.sum()) == 200
+    args = (x, y, i.astype(np.int64), np.array([1, 0], dtype=np.int64), 1)
+    assert kernels.best_split(*args) == (0, 89.5, 0.16920634920634922)
+    assert kernels.best_split(*args) == scalar_best_split(*args)
 
 
 def test_best_split_respects_min_leaf():
@@ -89,8 +155,6 @@ def test_best_split_no_split_on_constant_feature():
 
 
 def test_mov_multiplier_codes_match_named_functions():
-    import math
-
     w90 = 120.0
     d = 60.0
     assert kernels._mov_multiplier(d, kernels.MOV_NONE, w90) == 1.0
@@ -100,44 +164,36 @@ def test_mov_multiplier_codes_match_named_functions():
     assert kernels._mov_multiplier(d, kernels.MOV_SQRT, w90) == 1.0 + math.sqrt(d) / math.sqrt(w90)
 
 
-def test_env_flag_disables_numba():
-    code = (
-        "import leaguewin.kernels as k; "
-        "print(k.NUMBA_ENABLED, hasattr(k.scope_pass, 'py_func'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env(LEAGUEWIN_NO_NUMBA="1"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False False"
+@pytest.mark.parametrize("vote", ["soft", "hard"])
+def test_forest_predict_many_matches_forest_predict(vote):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(240, 6))
+    y = (x[:, 0] + rng.normal(size=240) > 0).astype(np.int8)
+    for seed in range(3):
+        forest = rf.forest_train(x, y, n_trees=25, max_depth=6, min_leaf=int(seed + 1), seed=seed, vote=vote)
+        rows = np.vstack([rng.normal(size=(150, 6)), x[:50]])
+        want = np.array([rf.forest_predict(forest, row) for row in rows])
+        assert np.array_equal(rf.forest_predict_many(forest, rows), want)
 
 
-def test_fallback_produces_same_forest_and_scope_results():
-    # Full pipeline agreement between the two paths, run out of process.
-    script = r"""
-import numpy as np
-from leaguewin import synth
-from leaguewin.baselines import scope as sc, forest as rf
-records = synth.generate_league(synth.SynthConfig(n_teams=6, games_per_pair=2, seasons=2, first_season=2019, seed=3))
-train = sc.games_from_records([r for r in records if r.season == 2019])
-val = sc.games_from_records([r for r in records if r.season == 2020])
-grid = {"base_k": [10, 40], "cutoff": [1650], "reduction": [0.2], "mov_func": ["none", "exp"], "w90": [100], "regression": [0]}
-best, table = sc.scope_grid_search(train, val, grid)
-x, y, _ = rf.lookback_dataset([r for r in records if r.season == 2019], 2, "delta")
-f = rf.forest_train(x, y, n_trees=10, seed=0)
-p = rf.forest_predict_many(f, x)
-print(repr([round(a, 12) for _, a in table]))
-print(repr(best.base_k), repr(best.mov_func))
-print(repr([round(v, 12) for v in p[:10]]))
-"""
-    env = _child_env()
-    env.pop("LEAGUEWIN_NO_NUMBA", None)
-    with_jit = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    env["LEAGUEWIN_NO_NUMBA"] = "1"
-    without = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert with_jit.returncode == 0, with_jit.stderr
-    assert without.returncode == 0, without.stderr
-    assert with_jit.stdout == without.stdout
+def test_fallback_produces_same_forest_and_scope_results(monkeypatch):
+    # End to end on one synthetic league: the scalar reference paths (one
+    # config at a time through scope_update, the per-threshold scan and
+    # per-row forest_predict) give exactly what the array kernels give.
+    records = synth.generate_league(synth.SynthConfig(n_teams=6, games_per_pair=2, seasons=2, first_season=2019, seed=3))
+    train = sc.games_from_records([r for r in records if r.season == 2019])
+    val = sc.games_from_records([r for r in records if r.season == 2020])
+    grid = {"base_k": [10, 40], "cutoff": [1650], "reduction": [0.2], "mov_func": ["none", "exp"], "w90": [100], "regression": [0, 0.3]}
+    best, table = sc.scope_grid_search(train, val, grid)
+    for cfg, acc in table:
+        _, state = scalar_season(train, cfg, sc.ScopeState())
+        hits, _ = scalar_season(val, cfg, sc.scope_season_regress(state, cfg))
+        assert acc == hits / len(val)
+    assert best == max(table, key=lambda row: row[1])[0]
+
+    x, y, _ = rf.lookback_dataset([r for r in records if r.season == 2019], 2, "delta")
+    fast = rf.forest_train(x, y, n_trees=10, seed=0)
+    monkeypatch.setattr(kernels, "best_split", scalar_best_split)
+    slow = rf.forest_train(x, y, n_trees=10, seed=0)
+    assert fast.trees == slow.trees
+    assert np.array_equal(rf.forest_predict_many(fast, x), [rf.forest_predict(slow, row) for row in x])

@@ -194,17 +194,31 @@ def test_planted_config_recovered():
     assert best.base_k == 40
 
 
-def test_grid_search_threads_match_sequential():
+def test_grid_search_matches_per_config_protocol():
+    # The lattice pass scores every config as if it ran alone through
+    # scope_update, scope_season_regress and predict-then-update.
     records = synth.generate_league(
         synth.SynthConfig(n_teams=6, games_per_pair=2, seasons=2, first_season=2019, seed=3, latent_skill_std=1.0)
     )
     train = games_from_records([r for r in records if r.season == 2019])
     val = games_from_records([r for r in records if r.season == 2020])
-    grid = {"base_k": [10, 40], "cutoff": [1650, 1750], "reduction": [0.2], "mov_func": ["none", "lin"], "w90": [100], "regression": [0, 0.4]}
-    best1, table1 = scope_grid_search(train, val, grid, threads=1)
-    best4, table4 = scope_grid_search(train, val, grid, threads=4)
-    assert best1 == best4
-    assert [acc for _, acc in table1] == [acc for _, acc in table4]
+    grid = {"base_k": [10, 40], "cutoff": [1500, 1750], "reduction": [0.2], "mov_func": ["none", "lin", "sqrt"], "w90": [5], "regression": [0, 0.4]}
+    best, table = scope_grid_search(train, val, grid)
+    assert [cfg for cfg, _ in table] == grid_configs(grid)
+    for cfg, acc in table:
+        state = ScopeState()
+        for game in train:
+            state = scope_update(state, game, cfg)
+        state = scope_season_regress(state, cfg)
+        hits = 0
+        for game in val:
+            hits += (elo_expected(state.rating(game.team, cfg), state.rating(game.opponent, cfg)) >= 0.5) == (
+                game.winner == game.team
+            )
+            state = scope_update(state, game, cfg)
+        assert acc == hits / len(val), cfg
+    accs = [acc for _, acc in table]
+    assert best == table[accs.index(max(accs))][0]
 
 
 def test_games_from_records_margin_and_winner(small_season):
