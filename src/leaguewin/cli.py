@@ -24,42 +24,60 @@ from .ingest import FeatureSpec, MatchLogError, QualityReport, filter_regular_se
 BUNDLE_SCHEMA_VERSION = 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+OPTIONS = {
+    "data": {"required": True, "help": "match-log CSV"},
+    "plan": {"required": True, "help": "split-plan JSON"},
+    "config": {"help": "JSON config file"},
+    "seed": {"type": int, "help": "RNG seed (overrides config)"},
+    "mode": {"choices": ["raw", "delta"], "help": "feature dataset mode"},
+    "model": {"choices": ["gcn", "gcn-cheby"], "help": "propagation variant"},
+    "layers": {"type": _positive_int, "help": "graph-convolution layer count (>= 1)"},
+    "degree": {"type": int, "help": "Chebyshev degree"},
+    "model-file": {"required": True, "help": "model bundle from train"},
+    "league": {"required": True},
+    "season": {
+        "type": int,
+        "required": True,
+        "help": "season (baseline-scope: the test season; the two before it initialize/validate)",
+    },
+    "lookback": {"type": int, "default": 5},
+    "out": {"required": True, "help": "output directory"},
+}
+
+# Each command declares exactly the options its handler reads.
+COMMANDS = {
+    "simulate": ("generate a synthetic season CSV", ["config", "seed", "out"]),
+    "ingest": ("validate a match log, emit a quality report", ["data", "config", "out"]),
+    "build-graph": (
+        "build and serialize a league graph",
+        ["data", "config", "mode", "layers", "league", "season", "out"],
+    ),
+    "train": (
+        "train a model on the plan's leagues",
+        ["data", "plan", "config", "seed", "mode", "model", "layers", "degree", "out"],
+    ),
+    "predict": ("score a league with a trained model", ["data", "model-file", "league", "season", "out"]),
+    "grid-search": ("hyperparameter search for the GCN", ["data", "plan", "config", "seed", "degree", "out"]),
+    "baseline-scope": ("Elo grid search and test accuracy", ["data", "config", "league", "season", "out"]),
+    "baseline-forest": ("lookback random-forest baseline", ["data", "plan", "mode", "lookback", "out"]),
+    "compare": ("full comparison table", ["data", "plan", "config", "seed", "out"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leaguewin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, data=False, plan=False):
-        if data:
-            p.add_argument("--data", required=True, help="match-log CSV")
-        if plan:
-            p.add_argument("--plan", required=True, help="split-plan JSON")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="GCN grid-search worker threads")
-        p.add_argument("--mode", choices=["raw", "delta"], help="feature dataset mode")
-        p.add_argument("--model", choices=["gcn", "gcn-cheby"], help="propagation variant")
-        p.add_argument("--layers", type=int, help="graph-convolution layer count")
-        p.add_argument("--degree", type=int, help="Chebyshev degree")
-        return p
-
-    common(sub.add_parser("simulate", help="generate a synthetic season CSV"))
-    common(sub.add_parser("ingest", help="validate a match log, emit a quality report"), data=True)
-    p = common(sub.add_parser("build-graph", help="build and serialize a league graph"), data=True)
-    p.add_argument("--league", required=True)
-    p.add_argument("--season", type=int, required=True)
-    common(sub.add_parser("train", help="train a model on the plan's leagues"), data=True, plan=True)
-    p = common(sub.add_parser("predict", help="score a league with a trained model"), data=True)
-    p.add_argument("--model-file", required=True, help="model bundle from train")
-    p.add_argument("--league", required=True)
-    p.add_argument("--season", type=int, required=True)
-    common(sub.add_parser("grid-search", help="hyperparameter search for the GCN"), data=True, plan=True)
-    p = common(sub.add_parser("baseline-scope", help="Elo grid search and test accuracy"), data=True)
-    p.add_argument("--league", required=True)
-    p.add_argument("--season", type=int, required=True, help="test season (the two before it initialize/validate)")
-    p = common(sub.add_parser("baseline-forest", help="lookback random-forest baseline"), data=True, plan=True)
-    p.add_argument("--lookback", type=int, default=5)
-    common(sub.add_parser("compare", help="full comparison table"), data=True, plan=True)
+    for command, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in options:
+            p.add_argument(f"--{name}", **OPTIONS[name])
     return parser
 
 
@@ -140,8 +158,7 @@ def _load_json(path) -> dict:
     return json.loads(Path(path).read_text("utf-8"))
 
 
-def _feature_spec(args, mode: str | None = None) -> FeatureSpec:
-    mode = mode or args.mode or "raw"
+def _feature_spec(args, mode: str) -> FeatureSpec:
     if args.config:
         doc = _load_json(args.config)
         if "features" in doc:
@@ -170,7 +187,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    spec = _feature_spec(args)
+    spec = _feature_spec(args, "raw")
     report = QualityReport()
     records = _records(args, spec, report)
     out_dir = _out_dir(args)
@@ -183,7 +200,7 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_build_graph(args) -> None:
-    spec = _feature_spec(args)
+    spec = _feature_spec(args, args.mode or "raw")
     records = filter_regular_season(_records(args, spec), args.league, args.season)
     matrix = build_feature_matrix(records, spec)
     g = lg.build_league_graph(records, features=matrix)
@@ -198,26 +215,32 @@ def _cmd_build_graph(args) -> None:
 
 
 def _train_config(args) -> gcn.TrainConfig:
+    """The config JSON's TrainConfig fields, then whichever of --model,
+    --layers, --degree and --seed the command defines and was given."""
     doc = _load_json(args.config) if args.config else {}
     doc = {k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__}
     config = gcn.TrainConfig(**doc)
-    if args.model:
+    if getattr(args, "model", None) is not None:
         config = replace(config, propagator_kind=gcn.MODEL_KINDS[args.model])
-    if args.layers:
+    if getattr(args, "layers", None) is not None:
         hidden = config.hidden_dims or [64]
         config = replace(config, hidden_dims=[hidden[0]] * args.layers)
-    if args.degree is not None:
+    if getattr(args, "degree", None) is not None:
         config = replace(config, chebyshev_degree=args.degree)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config
 
 
+def _plan(args) -> experiment.SplitPlan:
+    return experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+
+
 def _cmd_train(args) -> None:
     mode = args.mode or "delta"
     config = _train_config(args)
     spec = _feature_spec(args, mode)
-    plan = experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    plan = _plan(args)
     records = _records(args, spec)
     best, report, _, stats = experiment.train_for_plan(records, plan, config, mode, spec)
     bundle = {
@@ -274,21 +297,10 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_grid_search(args) -> None:
-    plan = experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    plan = _plan(args)
     records = _records(args)
-    grid = None
-    base = gcn.TrainConfig()
-    if args.config:
-        doc = _load_json(args.config)
-        grid = doc.get("grid") or None
-        base_doc = {k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__}
-        if base_doc:
-            base = gcn.TrainConfig(**base_doc)
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    if args.degree is not None:
-        base = replace(base, chebyshev_degree=args.degree)
-    report = experiment.grid_search_gcn(records, plan, grid, base, threads=args.threads)
+    grid = (_load_json(args.config).get("grid") or None) if args.config else None
+    report = experiment.grid_search_gcn(records, plan, grid, _train_config(args))
     _write_report(args, report, "grid_report")
     winner = [r for r in report.rows if r.note == "winner"][0]
     print(f"winner: {winner.model} + {winner.dataset}, test acc {winner.test_accuracy:.4f}")
@@ -297,12 +309,7 @@ def _cmd_grid_search(args) -> None:
 def _cmd_baseline_scope(args) -> None:
     records = _records(args)
     grid = sc.grid_from_json(Path(args.config).read_text("utf-8")) if args.config else None
-    spans = []
-    for season in (args.season - 2, args.season - 1, args.season):
-        recs = filter_regular_season(records, args.league, season)
-        if not recs:
-            raise ValueError(f"no {args.league} games for season {season}")
-        spans.append(sc.games_from_records(recs))
+    spans = experiment.scope_spans(records, args.league, args.season)
     result = sc.scope_protocol(spans[0], spans[1], spans[2], grid)
     out_dir = _out_dir(args)
     table_lines = [",".join(sc.GRID_FIELDS) + ",val_accuracy"]
@@ -329,7 +336,7 @@ def _cmd_baseline_scope(args) -> None:
 
 
 def _cmd_baseline_forest(args) -> None:
-    plan = experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    plan = _plan(args)
     records = _records(args)
     row = experiment.random_forest_row(
         records, plan, lookback=args.lookback, mode=args.mode or "delta"
@@ -343,16 +350,9 @@ def _cmd_baseline_forest(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    plan = experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    plan = _plan(args)
     records = _records(args)
-    config = gcn.TrainConfig()
-    if args.config:
-        doc = _load_json(args.config)
-        doc = {k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__}
-        config = gcn.TrainConfig(**doc)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    report = experiment.compare_all(records, plan, config)
+    report = experiment.compare_all(records, plan, _train_config(args))
     _write_report(args, report, "compare_report")
     for row in report.rows:
         acc = "skipped" if row.test_accuracy is None else f"{row.test_accuracy:.4f}"

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; perfbench/spans.py swaps this name for its traced pool.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -229,7 +230,6 @@ def grid_search_gcn(
     grid: dict[str, list] | None = None,
     base_config: gcn.TrainConfig | None = None,
     spec: FeatureSpec | None = None,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Evaluate every grid cell by validation accuracy; test only the winner."""
     if grid is None:
@@ -263,11 +263,7 @@ def grid_search_gcn(
         )
         return row, best, test_g
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    results = [run_cell(c) for c in cells]
 
     winner = max(range(len(results)), key=lambda i: results[i][0].val_accuracy)
     # Ties keep the first cell in enumeration order (max is stable that way).
@@ -354,17 +350,10 @@ def scope_row(
     plan: SplitPlan,
     grid: dict[str, list] | None = None,
 ) -> ExperimentRow:
-    seasons = (plan.season - 2, plan.season - 1, plan.season)
-    spans = []
-    for season in seasons:
-        recs = [r for r in records if r.league == plan.test_league and r.season == season and r.is_regular_season]
-        if not recs:
-            return ExperimentRow(
-                model="scope (elo)",
-                dataset="kills",
-                note=f"skipped: no {plan.test_league} games for season {season}",
-            )
-        spans.append(sc.games_from_records(recs))
+    try:
+        spans = scope_spans(records, plan.test_league, plan.season)
+    except ValueError as exc:
+        return ExperimentRow(model="scope (elo)", dataset="kills", note=f"skipped: {exc}")
     result = sc.scope_protocol(spans[0], spans[1], spans[2], grid)
     return ExperimentRow(
         model="scope (elo)",
@@ -373,3 +362,15 @@ def scope_row(
         val_accuracy=result.validation_accuracy,
         test_accuracy=result.test_accuracy,
     )
+
+
+def scope_spans(records: list[TeamGameRecord], league: str, season: int) -> list[list[sc.GameResult]]:
+    """One league's games for the SCOPE protocol: the two seasons before
+    ``season`` (initialization, validation) and ``season`` itself (test)."""
+    spans = []
+    for s in (season - 2, season - 1, season):
+        recs = filter_regular_season(records, league, s)
+        if not recs:
+            raise ValueError(f"no {league} games for season {s}")
+        spans.append(sc.games_from_records(recs))
+    return spans

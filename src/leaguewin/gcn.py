@@ -22,7 +22,6 @@ MODEL_SCHEMA_VERSION = 1
 MODEL_KINDS = {
     "gcn": lg.NORMALIZED_ADJACENCY,
     "gcn-cheby": lg.CHEBYSHEV,
-    "gcn_cheby": lg.CHEBYSHEV,
 }
 
 

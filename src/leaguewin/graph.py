@@ -115,13 +115,6 @@ def adjacency_from_edges(n: int, edges: set[tuple[int, int]]) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def with_features(graph: LeagueGraph, features: FeatureMatrix) -> LeagueGraph:
-    expected = [(t, g) for t, g, _ in graph.nodes]
-    if features.row_keys != expected:
-        raise ValueError("feature matrix rows do not align with graph nodes")
-    return replace(graph, features=features)
-
-
 def sym_normalized(adj: sp.spmatrix, add_self_loops: bool = True) -> sp.csr_matrix:
     """D^(-1/2) A D^(-1/2), with A+I and its degrees when add_self_loops."""
     a = sp.csr_matrix(adj, dtype=np.float64)

@@ -202,3 +202,66 @@ def test_compare_cli_smoke_and_determinism(season_csv, plan_json, tmp_path):
     assert len(report) == 6
     assert (outs[0] / "compare_report.csv").read_bytes() == (outs[1] / "compare_report.csv").read_bytes()
     assert (outs[0] / "compare_report.json").read_bytes() == (outs[1] / "compare_report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--data", "{csv}", "--plan", "{plan}", "--model", "gcn", "--out", "{out}"],
+        ["predict", "--data", "{csv}", "--model-file", "{model}", "--league", "CCC", "--season", "2020",
+         "--seed", "1", "--out", "{out}"],
+        ["baseline-forest", "--data", "{csv}", "--plan", "{plan}", "--config", "c.json", "--out", "{out}"],
+        ["grid-search", "--data", "{csv}", "--plan", "{plan}", "--threads", "2", "--out", "{out}"],
+        ["ingest", "--data", "{csv}", "--mode", "delta", "--out", "{out}"],
+    ],
+    ids=["compare-model", "predict-seed", "forest-config", "grid-threads", "ingest-mode"],
+)
+def test_flag_a_command_does_not_read_exits_2(argv, season_csv, plan_json, tmp_path, capsys):
+    paths = {"csv": season_csv, "plan": plan_json, "model": tmp_path / "model.json", "out": tmp_path / "o"}
+    assert cli_main([a.format(**paths) for a in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "d.csv", "--plan", "p.json", "--layers", "0", "--out", "o"],
+        ["train", "--data", "d.csv", "--plan", "p.json", "--layers", "-1", "--out", "o"],
+        ["build-graph", "--data", "d.csv", "--league", "AAA", "--season", "2020", "--layers", "0", "--out", "o"],
+    ],
+    ids=["train-0", "train-minus-1", "build-graph-0"],
+)
+def test_layers_below_one_exits_2(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "--layers" in capsys.readouterr().err
+
+
+def test_one_config_reaches_train_grid_search_and_compare(season_csv, plan_json, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # "grid" is read by grid-search only; the TrainConfig fields go to all three commands.
+    cfg.write_text(
+        json.dumps(
+            {"dropout": 0.1, "chebyshev_degree": 2, "max_epochs": 3,
+             "grid": {"hidden1": [8], "hidden2": [None], "dropout": [0.25], "model": ["gcn-cheby"], "dataset": ["delta"]}}
+        )
+    )
+    common = ["--data", str(season_csv), "--plan", str(plan_json), "--config", str(cfg), "--seed", "4"]
+    assert cli_main(["train", *common, "--model", "gcn-cheby", "--out", str(tmp_path / "t")]) == 0
+    assert cli_main(["grid-search", *common, "--out", str(tmp_path / "g")]) == 0
+    assert cli_main(["compare", *common, "--out", str(tmp_path / "c")]) == 0
+
+    model = json.loads((tmp_path / "t" / "model.json").read_text())["model"]["config"]
+    assert (model["dropout"], model["chebyshev_degree"], model["rng_seed"]) == (0.1, 2, 4)
+    epochs = (tmp_path / "t" / "train_report.csv").read_text().splitlines()[1:]
+    assert 1 <= len(epochs) <= 3
+
+    grid_rows = json.loads((tmp_path / "g" / "grid_report.json").read_text())
+    assert [(r["params"]["dropout"], r["params"]["chebyshev_degree"], r["params"]["seed"]) for r in grid_rows] == [
+        (0.25, 2, 4)
+    ]
+
+    gcn_rows = [r for r in json.loads((tmp_path / "c" / "compare_report.json").read_text()) if r["model"].startswith("gcn")]
+    assert len(gcn_rows) == 4
+    for row in gcn_rows:
+        assert (row["params"]["dropout"], row["params"]["chebyshev_degree"], row["params"]["seed"]) == (0.1, 2, 4)

@@ -127,14 +127,6 @@ def test_grid_reads_test_labels_once(monkeypatch):
     assert calls["n"] == 1
 
 
-def test_grid_threads_match_sequential():
-    records = three_leagues(seed=100)
-    grid = {"hidden1": [8, 16], "hidden2": [None], "dropout": [0.1], "model": ["gcn"], "dataset": ["delta"]}
-    r1 = grid_search_gcn(records, PLAN, grid, gcn.TrainConfig(seed=0), threads=1)
-    r2 = grid_search_gcn(records, PLAN, grid, gcn.TrainConfig(seed=0), threads=4)
-    assert r1.to_json() == r2.to_json()
-
-
 def test_compare_all_rows_and_formats():
     records = three_leagues(seed=100, seasons=3, first_season=2018)
     report = compare_all(records, PLAN, gcn.TrainConfig(dropout=0.1, seed=0), rf_seeds=3,
