@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, experiment, gcn, synth
 from . import graph as lg
 from .baselines import scope as sc
-from .ingest import FeatureSpec, MatchLogError, QualityReport, filter_regular_season, parse_match_csv, standardize, build_feature_matrix, ColumnStats
+from .ingest import ColumnStats, FeatureSpec, MatchLogError, QualityReport, build_feature_matrix, parse_match_csv
 
 BUNDLE_SCHEMA_VERSION = 1
 
@@ -176,7 +176,7 @@ def _cmd_simulate(args) -> None:
     leagues = doc.pop("leagues", None)
     if args.seed is not None:
         doc["seed"] = args.seed
-    config = synth.SynthConfig(**doc)
+    config = synth.SynthConfig.from_dict(doc)
     records = synth.generate_leagues(config, leagues) if leagues else synth.generate_league(config)
     out = Path(args.out)
     out_dir = _out_dir(args)
@@ -201,7 +201,7 @@ def _cmd_ingest(args) -> None:
 
 def _cmd_build_graph(args) -> None:
     spec = _feature_spec(args, args.mode or "raw")
-    records = filter_regular_season(_records(args, spec), args.league, args.season)
+    records = experiment.league_games(_records(args, spec), args.league, args.season)
     matrix = build_feature_matrix(records, spec)
     g = lg.build_league_graph(records, features=matrix)
     g = lg.assign_labels(g, args.layers or 1)
@@ -280,11 +280,7 @@ def _cmd_predict(args) -> None:
         mean=np.array(bundle["standardization"]["mean"], dtype=np.float64),
         std=np.array(bundle["standardization"]["std"], dtype=np.float64),
     )
-    records = filter_regular_season(_records(args, spec), args.league, args.season)
-    if not records:
-        raise ValueError(f"no games for {args.league} {args.season}")
-    matrix = standardize(build_feature_matrix(records, spec), stats)
-    g = lg.build_league_graph(records, features=matrix)
+    g, _ = experiment.league_graph_for(_records(args, spec), args.league, args.season, spec, model.conv_stages, stats)
     probs = gcn.predict(model, g)
     lines = ["team,game_id,team_game_index,p_win"]
     for (team, game_id, idx), p in zip(g.nodes, probs):

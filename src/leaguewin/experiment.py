@@ -121,6 +121,14 @@ def conv_layers_of(config: gcn.TrainConfig) -> int:
     return max(1, len(config.hidden_dims))
 
 
+def league_games(records: list[TeamGameRecord], league: str, season: int) -> list[TeamGameRecord]:
+    """One league-season's regular-season games; raises naming an absent league."""
+    recs = filter_regular_season(records, league, season)
+    if not recs:
+        raise ValueError(f"league {league!r} has no regular-season games for {season}")
+    return recs
+
+
 def league_graph_for(
     records: list[TeamGameRecord],
     league: str,
@@ -130,9 +138,7 @@ def league_graph_for(
     stats=None,
 ):
     """Build one league's labeled graph; returns (graph, standardization stats)."""
-    recs = filter_regular_season(records, league, season)
-    if not recs:
-        raise ValueError(f"league {league!r} has no regular-season games for {season}")
+    recs = league_games(records, league, season)
     matrix = standardize(build_feature_matrix(recs, spec), stats)
     g = lg.build_league_graph(recs, features=matrix)
     return lg.assign_labels(g, convolutions), matrix.standardization_stats
@@ -187,19 +193,24 @@ def run_cross_league(
 ) -> tuple[ExperimentRow, gcn.GcnModel, gcn.TrainReport]:
     best, report, test_g, _ = train_for_plan(records, plan, config, mode, spec)
     report.test_accuracy = final_test_accuracy(best, test_g)
-    row = ExperimentRow(
+    return gcn_row(config, mode, report), best, report
+
+
+def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> ExperimentRow:
+    """A trained GCN's row: its config, best-epoch validation accuracy and
+    the report's test accuracy (None until the test league is scored)."""
+    return ExperimentRow(
         model=model_display_name(config.propagator_kind, conv_layers_of(config)),
-        dataset=mode,
+        dataset=dataset,
         params={
             "hidden_dims": list(config.hidden_dims),
             "dropout": config.dropout,
             "chebyshev_degree": config.chebyshev_degree,
             "seed": config.seed,
         },
-        val_accuracy=report.val_acc[report.best_epoch - 1] if report.val_acc else None,
+        val_accuracy=report.val_acc[report.best_epoch - 1],
         test_accuracy=report.test_accuracy,
     )
-    return row, best, report
 
 
 def default_gcn_grid() -> dict[str, list]:
@@ -236,41 +247,28 @@ def grid_search_gcn(
         grid = default_gcn_grid()
     if base_config is None:
         base_config = gcn.TrainConfig()
-    cells = gcn_grid_cells(grid)
+    cells = [
+        (replace(base_config, hidden_dims=hidden, dropout=dropout, propagator_kind=gcn.MODEL_KINDS[kind]), dataset)
+        for hidden, dropout, kind, dataset in gcn_grid_cells(grid)
+    ]
     if not cells:
         raise ValueError("empty grid")
+    # Cells differ in the split only by dataset mode and convolution count
+    # (the label offset), so each distinct split is built once and shared.
+    keys = dict.fromkeys((dataset, conv_layers_of(config)) for config, dataset in cells)
+    splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
 
-    def run_cell(cell):
-        hidden, dropout, model_kind, dataset = cell
-        config = replace(
-            base_config,
-            hidden_dims=hidden,
-            dropout=dropout,
-            propagator_kind=gcn.MODEL_KINDS[model_kind],
-        )
-        best, report, test_g, _ = train_for_plan(records, plan, config, dataset, spec)
-        val_acc = report.val_acc[report.best_epoch - 1]
-        row = ExperimentRow(
-            model=model_display_name(config.propagator_kind, conv_layers_of(config)),
-            dataset=dataset,
-            params={
-                "hidden_dims": hidden,
-                "dropout": dropout,
-                "chebyshev_degree": config.chebyshev_degree,
-                "seed": config.seed,
-            },
-            val_accuracy=val_acc,
-        )
-        return row, best, test_g
-
-    results = [run_cell(c) for c in cells]
-
-    winner = max(range(len(results)), key=lambda i: results[i][0].val_accuracy)
-    # Ties keep the first cell in enumeration order (max is stable that way).
-    row, best_model, test_g = results[winner]
-    row.test_accuracy = final_test_accuracy(best_model, test_g)
-    row.note = "winner"
-    return ExperimentReport(rows=[r for r, _, _ in results])
+    rows = []
+    for config, dataset in cells:
+        train_g, val_g, test_g, _ = splits[dataset, conv_layers_of(config)]
+        model, report = gcn.train(gcn.init_model(config, train_g.features.values.shape[1]), train_g, val_g, config)
+        rows.append(gcn_row(config, dataset, report))
+        # Strictly greater: ties keep the first cell in enumeration order.
+        if len(rows) == 1 or rows[-1].val_accuracy > winner.val_accuracy:
+            winner, winner_model, winner_test = rows[-1], model, test_g
+    winner.test_accuracy = final_test_accuracy(winner_model, winner_test)
+    winner.note = "winner"
+    return ExperimentReport(rows=rows)
 
 
 def compare_all(

@@ -320,9 +320,6 @@ def filter_regular_season(
     records: list[TeamGameRecord], league: str, season: int
 ) -> list[TeamGameRecord]:
     """Keep one league-season's regular-season games, preserving order."""
-    if league not in {r.league for r in records}:
-        warnings.warn(f"league {league!r} not present in records", stacklevel=2)
-        return []
     return [
         r
         for r in records

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -47,11 +48,11 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
-        import json
+        return cls.from_dict(json.loads(text))
 
-        doc = json.loads(text)
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - allowed
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SynthConfig":
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
         return cls(**doc)

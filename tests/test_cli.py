@@ -59,6 +59,49 @@ def test_bad_league_exits_1(season_csv, tmp_path, capsys):
     assert "ZZZ" in capsys.readouterr().err
 
 
+def test_build_graph_absent_league_exits_1_and_writes_nothing(season_csv, tmp_path, capsys):
+    out = tmp_path / "graph_out"
+    code = cli_main(["build-graph", "--data", str(season_csv), "--league", "ZZZ", "--season", "2020", "--out", str(out)])
+    assert code == 1
+    assert "error: league 'ZZZ' has no regular-season games for 2020" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_absent_league_exits_1(season_csv, plan_json, tmp_path, capsys):
+    train_out = tmp_path / "train_out"
+    assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]) == 0
+    capsys.readouterr()
+    pred_out = tmp_path / "pred_out"
+    code = cli_main(
+        ["predict", "--data", str(season_csv), "--model-file", str(train_out / "model.json"),
+         "--league", "ZZZ", "--season", "2020", "--out", str(pred_out)]
+    )
+    assert code == 1
+    assert "error: league 'ZZZ' has no regular-season games for 2020" in capsys.readouterr().err
+    assert not pred_out.exists()
+
+
+def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_teams": 4, "bogus": 1}))
+    out = tmp_path / "season.csv"
+    assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "error: unknown synth config keys: ['bogus']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_config_leagues_and_seed_flag(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_teams": 4, "seed": 1, "leagues": ["AAA", "BBB"]}))
+    texts = []
+    for seed in ("1", "1", "2"):
+        out = tmp_path / f"s{len(texts)}" / "season.csv"
+        assert cli_main(["simulate", "--config", str(config), "--seed", seed, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert {line.split(",")[1] for line in texts[0].splitlines()[1:]} == {"AAA", "BBB"}
+    assert texts[0] == texts[1] != texts[2]
+
+
 def test_simulate_writes_manifest_with_hashes(season_csv, tmp_path):
     manifest = json.loads((season_csv.parent / "manifest.json").read_text())
     assert manifest["command"] == "simulate"

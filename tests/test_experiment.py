@@ -30,9 +30,8 @@ def test_plan_requires_distinct_leagues():
 
 def test_missing_league_is_named():
     records = three_leagues()
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="ZZZ"):
-            run_cross_league(records, SplitPlan("AAA", "BBB", "ZZZ", 2020), gcn.TrainConfig())
+    with pytest.raises(ValueError, match="ZZZ"):
+        run_cross_league(records, SplitPlan("AAA", "BBB", "ZZZ", 2020), gcn.TrainConfig())
 
 
 def test_transfer_fixture_beats_majority():
@@ -97,6 +96,40 @@ def test_singleton_grid_matches_run_cross_league():
     direct, _, _ = run_cross_league(records, PLAN, config, "delta")
     assert row.test_accuracy == direct.test_accuracy
     assert row.val_accuracy == direct.val_accuracy
+
+
+EIGHT_CELLS = {"hidden1": [8], "hidden2": [None, 8], "dropout": [0.1], "model": ["gcn", "gcn-cheby"],
+               "dataset": ["raw", "delta"]}
+
+
+def test_grid_builds_each_distinct_split_once(monkeypatch):
+    records = three_leagues(seed=100)
+    calls = []
+    real = experiment.prepare_split
+
+    def counting(records, plan, mode, convolutions, spec=None):
+        calls.append((mode, convolutions))
+        return real(records, plan, mode, convolutions, spec)
+
+    monkeypatch.setattr(experiment, "prepare_split", counting)
+    report = grid_search_gcn(records, PLAN, EIGHT_CELLS, gcn.TrainConfig(seed=0))
+    assert len(report.rows) == 8
+    assert sorted(calls) == [("delta", 1), ("delta", 2), ("raw", 1), ("raw", 2)]
+
+
+def test_grid_cells_on_shared_splits_match_run_cross_league():
+    # Cells that share a split must train exactly as if each built its own.
+    records = three_leagues(seed=100)
+    base = gcn.TrainConfig(seed=2, max_epochs=20)
+    report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
+    assert len(report.rows) == 8
+    for row, (hidden, dropout, kind, dataset) in zip(report.rows, gcn_grid_cells(EIGHT_CELLS)):
+        config = gcn.TrainConfig(
+            hidden_dims=hidden, dropout=dropout, propagator_kind=kind, seed=2, max_epochs=20
+        )
+        direct, _, _ = run_cross_league(records, PLAN, config, dataset)
+        assert (row.model, row.dataset, row.params) == (direct.model, direct.dataset, direct.params)
+        assert row.val_accuracy == direct.val_accuracy
 
 
 def test_grid_recovers_planted_dataset_mode():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,9 +113,10 @@ def test_filter_partitions_leagues(default_spec):
     assert {r.league for r in lpl} == {"LPL"}
 
 
-def test_filter_unknown_league_warns(default_spec):
+def test_filter_unknown_league_returns_empty_without_warning(default_spec):
     records = synth.generate_league(synth.SynthConfig(n_teams=4, seed=0, league="LPL"))
-    with pytest.warns(UserWarning, match="LEC"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = filter_regular_season(records, "LEC", 2020)
     assert out == []
 
