@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Forest:
     max_depth: int
     min_leaf: int
     seed: int
-    vote: str = "soft"
 
 
 def lookback_dataset(
@@ -55,7 +54,7 @@ def lookback_dataset(
     if spec is None:
         spec = FeatureSpec.default(mode)
     elif spec.mode != mode:
-        spec = FeatureSpec(spec.names, spec.categories, mode)
+        spec = replace(spec, mode=mode)
     matrix = build_feature_matrix(records, spec)
     ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
     history: dict[str, list[int]] = {}
@@ -78,15 +77,12 @@ def forest_train(
     max_depth: int = 10,
     min_leaf: int = 1,
     seed: int = 0,
-    vote: str = "soft",
 ) -> Forest:
     """Bootstrap-bagged trees with sqrt(d) feature candidates per node."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int8)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
-    if vote not in ("soft", "hard"):
-        raise ValueError("vote must be 'soft' or 'hard'")
     if len(np.unique(y)) < 2:
         warnings.warn("single-class training data; forest is a constant predictor", stacklevel=2)
     rng = np.random.default_rng(seed)
@@ -98,7 +94,7 @@ def forest_train(
         tree = Tree()
         _grow(tree, x, y, np.sort(sample).astype(np.int64), 0, max_depth, min_leaf, n_candidates, rng)
         trees.append(tree)
-    return Forest(trees=trees, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed, vote=vote)
+    return Forest(trees=trees, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
 
 
 def _grow(tree, x, y, idx, depth, max_depth, min_leaf, n_candidates, rng) -> int:
@@ -125,11 +121,8 @@ def _grow(tree, x, y, idx, depth, max_depth, min_leaf, n_candidates, rng) -> int
 
 
 def forest_predict(forest: Forest, row: np.ndarray) -> float:
-    """Positive-class probability: mean leaf fraction (soft) or vote share (hard)."""
-    votes = [tree.apply(row) for tree in forest.trees]
-    if forest.vote == "hard":
-        return float(np.mean([v > 0.5 for v in votes]))
-    return float(np.mean(votes))
+    """Positive-class probability: the mean leaf fraction over the trees."""
+    return float(np.mean([tree.apply(row) for tree in forest.trees]))
 
 
 def _tree_values(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -152,11 +145,9 @@ def _tree_values(tree: Tree, x: np.ndarray) -> np.ndarray:
 def forest_predict_many(forest: Forest, x: np.ndarray) -> np.ndarray:
     """``forest_predict`` of every row of ``x``, with the same rounding."""
     x = np.asarray(x, dtype=np.float64)
-    votes = np.empty((x.shape[0], len(forest.trees)), dtype=np.float64)
+    leaves = np.empty((x.shape[0], len(forest.trees)), dtype=np.float64)
     for j, tree in enumerate(forest.trees):
-        votes[:, j] = _tree_values(tree, x)
-    if forest.vote == "hard":
-        votes = votes > 0.5
+        leaves[:, j] = _tree_values(tree, x)
     # A mean along the contiguous last axis sums each row pairwise, as
-    # np.mean does over one row's votes.
-    return votes.mean(axis=1)
+    # np.mean does over one row's leaf values.
+    return leaves.mean(axis=1)

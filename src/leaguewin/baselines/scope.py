@@ -187,7 +187,6 @@ def _lattice_pass(
     teams: dict[str, int],
     lattice: _Lattice,
     ratings: np.ndarray,
-    threshold: float,
     score_from: int,
     **outputs,
 ) -> np.ndarray:
@@ -206,7 +205,6 @@ def _lattice_pass(
         lattice.base_k,
         lattice.cutoff,
         lattice.keep,
-        float(threshold),
         score_from,
         **outputs,
     )
@@ -221,7 +219,6 @@ def _run_pass(
     games: list[GameResult],
     config: ScopeConfig,
     state: ScopeState,
-    threshold: float,
     score_from: int,
 ) -> ScopeEvalResult:
     teams = _team_index([games], state.ratings)
@@ -233,7 +230,7 @@ def _run_pass(
     trace_team = np.zeros((n, 1), dtype=np.float64)
     trace_opp = np.zeros((n, 1), dtype=np.float64)
     n_correct = _lattice_pass(
-        games, teams, _lattice([config]), ratings, threshold, score_from,
+        games, teams, _lattice([config]), ratings, score_from,
         correct_out=correct, trace_team=trace_team, trace_opp=trace_opp,
     )
     scored = n - score_from
@@ -256,25 +253,24 @@ def scope_advance(games: list[GameResult], config: ScopeConfig, state: ScopeStat
         state = ScopeState()
     if not games:
         return state
-    return _run_pass(games, config, state, 0.5, len(games)).state
+    return _run_pass(games, config, state, len(games)).state
 
 
 def scope_evaluate(
     games: list[GameResult],
     config: ScopeConfig,
-    predict_threshold: float = 0.5,
     state: ScopeState | None = None,
 ) -> ScopeEvalResult:
     """Predict-then-update over a chronological span; returns accuracy and trace.
 
-    Prediction is the higher-rated team (expected score >= threshold);
-    exact ties go to the first-listed team.
+    Prediction is the higher-rated team (expected score >= 0.5); exact
+    ties go to the first-listed team.
     """
     if not games:
         raise ValueError("empty test span")
     if state is None:
         state = ScopeState()
-    return _run_pass(games, config, state, predict_threshold, 0)
+    return _run_pass(games, config, state, 0)
 
 
 def default_scope_grid() -> dict[str, list]:
@@ -305,7 +301,6 @@ def scope_grid_search(
     train_games: list[GameResult],
     val_games: list[GameResult],
     grid: dict[str, list] | None = None,
-    predict_threshold: float = 0.5,
 ) -> tuple[ScopeConfig, list[tuple[ScopeConfig, float]]]:
     """Exhaustive lattice search scored on the validation span.
 
@@ -324,9 +319,9 @@ def scope_grid_search(
     lattice = _lattice(configs)
     teams = _team_index([train_games, val_games], ())
     ratings = np.tile(lattice.initial, (len(teams), 1))
-    _lattice_pass(train_games, teams, lattice, ratings, predict_threshold, len(train_games))
+    _lattice_pass(train_games, teams, lattice, ratings, len(train_games))
     ratings = _lattice_regress(ratings, lattice)
-    n_correct = _lattice_pass(val_games, teams, lattice, ratings, predict_threshold, 0)
+    n_correct = _lattice_pass(val_games, teams, lattice, ratings, 0)
     accs = [c / len(val_games) for c in n_correct.tolist()]
     table = list(zip(configs, accs))
     best = max(range(len(configs)), key=lambda i: accs[i])  # ties -> lowest index
@@ -339,7 +334,6 @@ class ScopeProtocolResult:
     validation_accuracy: float
     test_accuracy: float
     table: list[tuple[ScopeConfig, float]]
-    final_state: ScopeState
 
 
 def scope_protocol(
@@ -347,21 +341,19 @@ def scope_protocol(
     val_games: list[GameResult],
     test_games: list[GameResult],
     grid: dict[str, list] | None = None,
-    predict_threshold: float = 0.5,
 ) -> ScopeProtocolResult:
     """Three-season protocol: initialize, grid-search on validation, score test."""
-    best, table = scope_grid_search(init_games, val_games, grid, predict_threshold)
+    best, table = scope_grid_search(init_games, val_games, grid)
     state = scope_advance(init_games, best)
     state = scope_season_regress(state, best)
-    val_result = scope_evaluate(val_games, best, predict_threshold, state)
+    val_result = scope_evaluate(val_games, best, state)
     state = scope_season_regress(val_result.state, best)
-    test_result = scope_evaluate(test_games, best, predict_threshold, state)
+    test_result = scope_evaluate(test_games, best, state)
     return ScopeProtocolResult(
         best_config=best,
         validation_accuracy=val_result.accuracy,
         test_accuracy=test_result.accuracy,
         table=table,
-        final_state=test_result.state,
     )
 
 

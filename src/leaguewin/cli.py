@@ -160,10 +160,9 @@ def _load_json(path) -> dict:
 
 def _feature_spec(args, mode: str) -> FeatureSpec:
     if args.config:
-        doc = _load_json(args.config)
-        if "features" in doc:
-            spec = FeatureSpec.from_json(json.dumps(doc))
-            return FeatureSpec(spec.names, spec.categories, mode)
+        text = Path(args.config).read_text("utf-8")
+        if "features" in json.loads(text):
+            return replace(FeatureSpec.from_json(text), mode=mode)
     return FeatureSpec.default(mode)
 
 
@@ -190,6 +189,7 @@ def _cmd_ingest(args) -> None:
     spec = _feature_spec(args, "raw")
     report = QualityReport()
     records = _records(args, spec, report)
+    build_feature_matrix(records, spec, report)  # fills report.imputed and report.warnings
     out_dir = _out_dir(args)
     report_path = out_dir / "quality_report.json"
     records_path = out_dir / "records.csv"

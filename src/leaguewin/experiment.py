@@ -155,7 +155,7 @@ def prepare_split(
     if spec is None:
         spec = FeatureSpec.default(mode)
     elif spec.mode != mode:
-        spec = FeatureSpec(spec.names, spec.categories, mode)
+        spec = replace(spec, mode=mode)
     train_g, stats = league_graph_for(records, plan.train_league, plan.season, spec, convolutions)
     val_g, _ = league_graph_for(records, plan.val_league, plan.season, spec, convolutions, stats)
     test_g, _ = league_graph_for(records, plan.test_league, plan.season, spec, convolutions, stats)
@@ -313,14 +313,12 @@ def random_forest_row(
     lookback: int = 5,
     mode: str = "delta",
     seeds: int = 10,
-    n_trees: int = 100,
-    max_depth: int = 10,
-    min_leaf: int = 1,
     spec: FeatureSpec | None = None,
 ) -> ExperimentRow:
     """Fit on the training league, score the test league, mean +/- std over seeds."""
-    train_recs = filter_regular_season(records, plan.train_league, plan.season)
-    test_recs = filter_regular_season(records, plan.test_league, plan.season)
+    n_trees, max_depth, min_leaf = 100, 10, 1
+    train_recs = league_games(records, plan.train_league, plan.season)
+    test_recs = league_games(records, plan.test_league, plan.season)
     x_train, y_train, _ = rf.lookback_dataset(train_recs, lookback, mode, spec)
     x_test, y_test, _ = rf.lookback_dataset(test_recs, lookback, mode, spec)
     if not len(x_train) or not len(x_test):

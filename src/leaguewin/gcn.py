@@ -79,10 +79,6 @@ class GcnModel:
         # is one bare convolution.
         return max(1, self.n_stages - 1)
 
-    @property
-    def label_offset(self) -> int:
-        return self.conv_stages
-
     def copy_weights(self) -> list[list[np.ndarray]]:
         return [[w.copy() for w in stage] for stage in self.weights]
 

@@ -165,12 +165,12 @@ def power_iteration_lambda_max(
     return None
 
 
-def chebyshev_basis(graph: LeagueGraph, degree: int, lambda_max="exact") -> Propagator:
+def chebyshev_basis(graph: LeagueGraph, degree: int) -> Propagator:
     """Chebyshev basis [T0..TK] of the rescaled normalized Laplacian.
 
     T0 = I, T1 = L~, Tk = 2 L~ Tk-1 - Tk-2 with L~ = (2/lambda_max) L - I.
-    ``lambda_max="exact"`` estimates it by power iteration, falling back to
-    the theoretical bound 2.0 when the estimate does not converge.
+    lambda_max is estimated by power iteration, falling back to the
+    theoretical bound 2.0 when the estimate does not converge.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -179,14 +179,9 @@ def chebyshev_basis(graph: LeagueGraph, degree: int, lambda_max="exact") -> Prop
     if degree == 0:
         return Propagator(CHEBYSHEV, [identity.tocsr()])
     lap = normalized_laplacian(graph.adjacency)
-    if lambda_max == "exact":
-        lam = power_iteration_lambda_max(lap)
-        if lam is None or lam <= 0:
-            lam = 2.0
-    else:
-        lam = float(lambda_max)
-        if lam <= 0:
-            raise ValueError("lambda_max must be positive")
+    lam = power_iteration_lambda_max(lap)
+    if lam is None or lam <= 0:
+        lam = 2.0
     scaled = ((2.0 / lam) * lap - identity).tocsr()
     basis = [identity.tocsr(), scaled]
     for _ in range(2, degree + 1):

@@ -190,7 +190,7 @@ def record_sort_key(r: TeamGameRecord):
 
 
 def parse_match_csv(
-    source,
+    data: bytes,
     spec: FeatureSpec | None = None,
     report: QualityReport | None = None,
 ) -> list[TeamGameRecord]:
@@ -203,15 +203,7 @@ def parse_match_csv(
         spec = FeatureSpec.default()
     if report is None:
         report = QualityReport()
-    if isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    else:
-        raise TypeError("source must be bytes or a readable stream")
-
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
     try:
         header = next(reader)
     except StopIteration:

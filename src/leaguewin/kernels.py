@@ -59,7 +59,6 @@ def scope_pass(
     base_k,
     cutoff,
     keep,
-    threshold,
     score_from,
     correct_out=None,
     trace_team=None,
@@ -71,8 +70,10 @@ def scope_pass(
     ``c`` uses K ``base_k[c]``, scaled by ``keep[c]`` (1 - reduction) for a
     side rated above ``cutoff[c]``, and the MoV multiplier
     ``mov[game, mov_group[c]]``.  Games at index >= score_from are scored
-    (predict before update).  The optional ``(n_games, n_configs)`` outputs
-    receive each game's hits and post-update ratings.
+    (predict before update): the pick is the first-listed team when its
+    expected score is >= 0.5, so exact ties go to it.  The optional
+    ``(n_games, n_configs)`` outputs receive each game's hits and
+    post-update ratings.
 
     Returns the number of correct predictions per configuration.
     """
@@ -87,7 +88,7 @@ def scope_pass(
         expected_t = 1.0 / (1.0 + np.float_power(10.0, (r_o - r_t) / 400.0))
         won = team_won[i] == 1
         if i >= score_from:
-            hit = (expected_t >= threshold) == won
+            hit = (expected_t >= 0.5) == won
             n_correct += hit
             if correct_out is not None:
                 correct_out[i] = hit

@@ -81,6 +81,28 @@ def test_predict_absent_league_exits_1(season_csv, plan_json, tmp_path, capsys):
     assert not pred_out.exists()
 
 
+def test_baseline_forest_absent_league_exits_1(season_csv, tmp_path, capsys):
+    plan = tmp_path / "absent_plan.json"
+    plan.write_text(json.dumps({"train_league": "AAA", "val_league": "BBB", "test_league": "ZZZ", "season": 2020}))
+    out = tmp_path / "forest_out"
+    code = cli_main(["baseline-forest", "--data", str(season_csv), "--plan", str(plan), "--out", str(out)])
+    assert code == 1
+    assert "error: league 'ZZZ' has no regular-season games for 2020" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_baseline_forest_short_history_is_skipped(season_csv, plan_json, tmp_path):
+    # Every team plays 10 games a season, so a lookback of 10 leaves no rows.
+    out = tmp_path / "forest_out"
+    code = cli_main(
+        ["baseline-forest", "--data", str(season_csv), "--plan", str(plan_json), "--lookback", "10", "--out", str(out)]
+    )
+    assert code == 0
+    (row,) = json.loads((out / "forest_report.json").read_text())
+    assert row["test_accuracy"] is None
+    assert row["note"] == "skipped: not enough game history"
+
+
 def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"n_teams": 4, "bogus": 1}))
@@ -119,6 +141,23 @@ def test_ingest_outputs(season_csv, tmp_path):
     assert report["row_errors"] == []
     assert report["records_parsed"] > 0
     assert (out / "records.csv").exists() and (out / "manifest.json").exists()
+
+
+def test_ingest_reports_blank_feature_cells(season_csv, tmp_path):
+    lines = season_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    gold, vision = header.index("total_gold"), header.index("vision_score")
+    rows = [line.split(",") for line in lines[1:]]
+    rows[3][gold] = ""
+    for row in rows:
+        row[vision] = ""
+    data = tmp_path / "blanks.csv"
+    data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    out = tmp_path / "ingest_out"
+    assert cli_main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+    report = json.loads((out / "quality_report.json").read_text())
+    assert report["imputed"] == {"total_gold": 1, "vision_score": len(rows)}
+    assert report["warnings"] == ["column 'vision_score' has no observed values; imputed 0"]
 
 
 def test_build_graph_outputs(season_csv, tmp_path):

@@ -89,7 +89,6 @@ def test_prediction_invariant_to_tree_order():
         max_depth=forest.max_depth,
         min_leaf=forest.min_leaf,
         seed=forest.seed,
-        vote=forest.vote,
     )
     assert forest_predict(shuffled, row) == pytest.approx(base, abs=1e-12)
 
@@ -110,18 +109,6 @@ def test_min_leaf_respected():
             if tree.left[node] != -1:
                 assert tree.count[tree.left[node]] >= 5
                 assert tree.count[tree.right[node]] >= 5
-
-
-def test_hard_vote_option():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(40, 3))
-    y = (x[:, 0] > 0).astype(np.int8)
-    soft = forest_train(x, y, n_trees=7, seed=1, vote="soft")
-    hard = forest_train(x, y, n_trees=7, seed=1, vote="hard")
-    row = rng.normal(size=3)
-    votes = [t.apply(row) for t in soft.trees]
-    assert forest_predict(soft, row) == pytest.approx(np.mean(votes))
-    assert forest_predict(hard, row) == pytest.approx(np.mean([v > 0.5 for v in votes]))
 
 
 def test_synthetic_lookback_band_matches_expected_regime():

@@ -58,7 +58,7 @@ def test_init_shapes_chebyshev():
     model = init_model(TrainConfig(hidden_dims=[64], propagator_kind="gcn-cheby", chebyshev_degree=1), 30)
     assert [len(stage) for stage in model.weights] == [2, 1]
     assert all(w.shape == (30, 64) for w in model.weights[0])
-    assert model.conv_stages == 1 and model.label_offset == 1
+    assert model.conv_stages == 1
 
 
 def test_empty_hidden_dims_single_stage():

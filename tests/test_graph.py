@@ -16,7 +16,6 @@ from leaguewin.graph import (
     graph_to_json,
     label_source_node,
     normalized_adjacency,
-    normalized_laplacian,
     receptive_field,
     sym_normalized,
 )
@@ -189,13 +188,6 @@ def test_chebyshev_recurrence_on_path():
     p = chebyshev_basis(g, 2)
     t0_m, t1_m, t2_m = (m.toarray() for m in p.matrices)
     assert np.abs(t2_m - (2.0 * t1_m @ t1_m - t0_m)).max() < 1e-12
-
-
-def test_chebyshev_explicit_lambda_max(medium_season):
-    g = build_league_graph(medium_season)
-    p = chebyshev_basis(g, 1, lambda_max=2.0)
-    lap = normalized_laplacian(g.adjacency).toarray()
-    assert np.allclose(p.matrices[1].toarray(), lap - np.eye(g.n_nodes), atol=1e-12)
 
 
 def test_assign_labels_five_games_offset_one():

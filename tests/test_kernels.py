@@ -2,7 +2,6 @@ import math
 from itertools import product
 
 import numpy as np
-import pytest
 
 from leaguewin import kernels, synth
 from leaguewin.baselines import forest as rf
@@ -74,7 +73,7 @@ def test_scope_pass_matches_scalar_updates_all_mov_kinds():
             np.array([teams[g.opponent] for g in games]),
             np.array([g.winner == g.team for g in games], dtype=np.uint8),
             kernels.mov_table([g.kill_diff for g in games], pairs),
-            group, ratings, base_k, cutoff, keep, 0.5, score_from,
+            group, ratings, base_k, cutoff, keep, score_from,
         )
 
     ratings = np.full((8, len(configs)), 1500.0)
@@ -164,13 +163,12 @@ def test_mov_multiplier_codes_match_named_functions():
     assert kernels._mov_multiplier(d, kernels.MOV_SQRT, w90) == 1.0 + math.sqrt(d) / math.sqrt(w90)
 
 
-@pytest.mark.parametrize("vote", ["soft", "hard"])
-def test_forest_predict_many_matches_forest_predict(vote):
+def test_forest_predict_many_matches_forest_predict():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(240, 6))
     y = (x[:, 0] + rng.normal(size=240) > 0).astype(np.int8)
     for seed in range(3):
-        forest = rf.forest_train(x, y, n_trees=25, max_depth=6, min_leaf=int(seed + 1), seed=seed, vote=vote)
+        forest = rf.forest_train(x, y, n_trees=25, max_depth=6, min_leaf=int(seed + 1), seed=seed)
         rows = np.vstack([rng.normal(size=(150, 6)), x[:50]])
         want = np.array([rf.forest_predict(forest, row) for row in rows])
         assert np.array_equal(rf.forest_predict_many(forest, rows), want)
