@@ -7,56 +7,3 @@ forest.
 """
 
 __version__ = "0.1.0"
-
-from .experiment import SplitPlan, compare_all, grid_search_gcn, run_cross_league
-from .gcn import GcnModel, TrainConfig, TrainReport, init_model, predict, train
-from .graph import LeagueGraph, Propagator, assign_labels, build_league_graph, chebyshev_basis, normalized_adjacency, receptive_field
-from .ingest import (
-    FeatureMatrix,
-    FeatureSpec,
-    MatchLogError,
-    PairingError,
-    QualityReport,
-    SchemaError,
-    TeamGameRecord,
-    build_feature_matrix,
-    filter_regular_season,
-    parse_match_csv,
-    standardize,
-)
-from .synth import SynthConfig, emit_csv, generate_league, generate_leagues
-
-__all__ = [
-    "FeatureMatrix",
-    "FeatureSpec",
-    "GcnModel",
-    "LeagueGraph",
-    "MatchLogError",
-    "PairingError",
-    "Propagator",
-    "QualityReport",
-    "SchemaError",
-    "SplitPlan",
-    "SynthConfig",
-    "TeamGameRecord",
-    "TrainConfig",
-    "TrainReport",
-    "__version__",
-    "assign_labels",
-    "build_feature_matrix",
-    "build_league_graph",
-    "chebyshev_basis",
-    "compare_all",
-    "emit_csv",
-    "filter_regular_season",
-    "generate_league",
-    "generate_leagues",
-    "grid_search_gcn",
-    "init_model",
-    "normalized_adjacency",
-    "parse_match_csv",
-    "predict",
-    "run_cross_league",
-    "standardize",
-    "train",
-]

@@ -1,43 +1,1 @@
 """Comparison systems: SCOPE-style Elo and a lookback random forest."""
-
-from .forest import Forest, forest_predict, forest_predict_many, forest_train, lookback_dataset
-from .scope import (
-    GameResult,
-    ScopeConfig,
-    ScopeEvalResult,
-    ScopeState,
-    default_scope_grid,
-    elo_expected,
-    games_from_records,
-    grid_size,
-    mov_multiplier,
-    scope_advance,
-    scope_evaluate,
-    scope_grid_search,
-    scope_protocol,
-    scope_season_regress,
-    scope_update,
-)
-
-__all__ = [
-    "Forest",
-    "GameResult",
-    "ScopeConfig",
-    "ScopeEvalResult",
-    "ScopeState",
-    "default_scope_grid",
-    "elo_expected",
-    "forest_predict",
-    "forest_predict_many",
-    "forest_train",
-    "games_from_records",
-    "grid_size",
-    "lookback_dataset",
-    "mov_multiplier",
-    "scope_advance",
-    "scope_evaluate",
-    "scope_grid_search",
-    "scope_protocol",
-    "scope_season_regress",
-    "scope_update",
-]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class Tree:
 @dataclass
 class Forest:
     trees: list[Tree]
-    n_trees: int
-    max_depth: int
-    min_leaf: int
-    seed: int
 
 
 def lookback_dataset(
@@ -52,10 +48,8 @@ def lookback_dataset(
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
     if spec is None:
-        spec = FeatureSpec.default(mode)
-    elif spec.mode != mode:
-        spec = replace(spec, mode=mode)
-    matrix = build_feature_matrix(records, spec)
+        spec = FeatureSpec.default()
+    matrix = build_feature_matrix(records, spec, mode)
     ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
     history: dict[str, list[int]] = {}
     rows, labels, keys = [], [], []
@@ -94,7 +88,7 @@ def forest_train(
         tree = Tree()
         _grow(tree, x, y, np.sort(sample).astype(np.int64), 0, max_depth, min_leaf, n_candidates, rng)
         trees.append(tree)
-    return Forest(trees=trees, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+    return Forest(trees=trees)
 
 
 def _grow(tree, x, y, idx, depth, max_depth, min_leaf, n_candidates, rng) -> int:

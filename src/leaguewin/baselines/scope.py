@@ -57,7 +57,6 @@ class ScopeConfig:
 @dataclass
 class ScopeState:
     ratings: dict[str, float] = field(default_factory=dict)
-    games_processed: int = 0
 
     def rating(self, team: str, config: ScopeConfig) -> float:
         return self.ratings.get(team, config.initial_rating)
@@ -106,7 +105,7 @@ def scope_update(state: ScopeState, game: GameResult, config: ScopeConfig) -> Sc
     ratings = dict(state.ratings)
     ratings[game.team] = r_t + k_t * (outcome_t - expected_t)
     ratings[game.opponent] = r_o + k_o * ((1.0 - outcome_t) - (1.0 - expected_t))
-    return ScopeState(ratings=ratings, games_processed=state.games_processed + 1)
+    return ScopeState(ratings=ratings)
 
 
 def scope_season_regress(state: ScopeState, config: ScopeConfig) -> ScopeState:
@@ -115,8 +114,7 @@ def scope_season_regress(state: ScopeState, config: ScopeConfig) -> ScopeState:
         ratings={
             t: r + config.regression * (config.initial_rating - r)
             for t, r in state.ratings.items()
-        },
-        games_processed=state.games_processed,
+        }
     )
 
 
@@ -234,10 +232,7 @@ def _run_pass(
         correct_out=correct, trace_team=trace_team, trace_opp=trace_opp,
     )
     scored = n - score_from
-    new_state = ScopeState(
-        ratings={t: float(ratings[i, 0]) for t, i in teams.items()},
-        games_processed=state.games_processed + n,
-    )
+    new_state = ScopeState(ratings={t: float(ratings[i, 0]) for t, i in teams.items()})
     return ScopeEvalResult(
         accuracy=(float(n_correct[0]) / scored) if scored > 0 else float("nan"),
         n_games=scored,

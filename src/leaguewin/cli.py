@@ -37,7 +37,7 @@ OPTIONS = {
     "config": {"help": "JSON config file"},
     "seed": {"type": int, "help": "RNG seed (overrides config)"},
     "mode": {"choices": ["raw", "delta"], "help": "feature dataset mode"},
-    "model": {"choices": ["gcn", "gcn-cheby"], "help": "propagation variant"},
+    "model": {"choices": list(gcn.MODEL_KINDS), "help": "propagation variant"},
     "layers": {"type": _positive_int, "help": "graph-convolution layer count (>= 1)"},
     "degree": {"type": int, "help": "Chebyshev degree"},
     "model-file": {"required": True, "help": "model bundle from train"},
@@ -48,7 +48,7 @@ OPTIONS = {
         "help": "season (baseline-scope: the test season; the two before it initialize/validate)",
     },
     "lookback": {"type": int, "default": 5},
-    "out": {"required": True, "help": "output directory"},
+    "out": {"required": True, "help": "output directory (simulate: or a .csv file path)"},
 }
 
 # Each command declares exactly the options its handler reads.
@@ -125,10 +125,8 @@ def _write_atomic(path: Path, data) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The directory named by --out, which a command writes into, dots in its name or not."""
     out = Path(args.out)
-    if out.suffix:  # a file path: outputs land next to it
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out.parent
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -158,12 +156,28 @@ def _load_json(path) -> dict:
     return json.loads(Path(path).read_text("utf-8"))
 
 
-def _feature_spec(args, mode: str) -> FeatureSpec:
-    if args.config:
-        text = Path(args.config).read_text("utf-8")
-        if "features" in json.loads(text):
-            return replace(FeatureSpec.from_json(text), mode=mode)
-    return FeatureSpec.default(mode)
+# What a --config file may hold for the commands that build features or
+# train: a feature set, TrainConfig fields and grid-search's grid.
+# simulate and baseline-scope read configs of their own.
+CONFIG_KEYS = {"features", "grid", *gcn.TrainConfig.__dataclass_fields__}
+
+
+def _config(args) -> dict:
+    """The --config JSON object, {} without one; exits 1 on a key nothing reads."""
+    if not args.config:
+        return {}
+    doc = _load_json(args.config)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(doc) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys in {args.config}: {unknown}")
+    return doc
+
+
+def _feature_spec(config: dict) -> FeatureSpec:
+    features = config.get("features")
+    return FeatureSpec(list(features), dict(features)) if features else FeatureSpec.default()
 
 
 def _records(args, spec: FeatureSpec | None = None, report: QualityReport | None = None):
@@ -178,18 +192,20 @@ def _cmd_simulate(args) -> None:
     config = synth.SynthConfig.from_dict(doc)
     records = synth.generate_leagues(config, leagues) if leagues else synth.generate_league(config)
     out = Path(args.out)
-    out_dir = _out_dir(args)
-    csv_path = out if out.suffix == ".csv" else out_dir / "season.csv"
+    # simulate alone may name the CSV file itself; the manifest goes beside it.
+    csv_path = out if out.suffix == ".csv" else out / "season.csv"
+    out_dir = csv_path.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(csv_path, synth.emit_csv(records))
     _write_manifest(args, out_dir, [csv_path])
     print(f"wrote {len(records)} records ({len(records) // 2} games) to {csv_path}")
 
 
 def _cmd_ingest(args) -> None:
-    spec = _feature_spec(args, "raw")
+    spec = _feature_spec(_config(args))
     report = QualityReport()
     records = _records(args, spec, report)
-    build_feature_matrix(records, spec, report)  # fills report.imputed and report.warnings
+    build_feature_matrix(records, spec, "raw", report)  # fills report.imputed and report.warnings
     out_dir = _out_dir(args)
     report_path = out_dir / "quality_report.json"
     records_path = out_dir / "records.csv"
@@ -200,9 +216,9 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_build_graph(args) -> None:
-    spec = _feature_spec(args, args.mode or "raw")
+    spec = _feature_spec(_config(args))
     records = experiment.league_games(_records(args, spec), args.league, args.season)
-    matrix = build_feature_matrix(records, spec)
+    matrix = build_feature_matrix(records, spec, args.mode or "raw")
     g = lg.build_league_graph(records, features=matrix)
     g = lg.assign_labels(g, args.layers or 1)
     out_dir = _out_dir(args)
@@ -214,14 +230,12 @@ def _cmd_build_graph(args) -> None:
     print(f"graph: {g.n_nodes} nodes, {len(g.edges)} edges, {int(g.label_mask.sum())} labeled")
 
 
-def _train_config(args) -> gcn.TrainConfig:
-    """The config JSON's TrainConfig fields, then whichever of --model,
+def _train_config(args, doc: dict) -> gcn.TrainConfig:
+    """The config's TrainConfig fields, then whichever of --model,
     --layers, --degree and --seed the command defines and was given."""
-    doc = _load_json(args.config) if args.config else {}
-    doc = {k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__}
-    config = gcn.TrainConfig(**doc)
+    config = gcn.TrainConfig(**{k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__})
     if getattr(args, "model", None) is not None:
-        config = replace(config, propagator_kind=gcn.MODEL_KINDS[args.model])
+        config = replace(config, propagator_kind=args.model)
     if getattr(args, "layers", None) is not None:
         hidden = config.hidden_dims or [64]
         config = replace(config, hidden_dims=[hidden[0]] * args.layers)
@@ -238,8 +252,9 @@ def _plan(args) -> experiment.SplitPlan:
 
 def _cmd_train(args) -> None:
     mode = args.mode or "delta"
-    config = _train_config(args)
-    spec = _feature_spec(args, mode)
+    doc = _config(args)
+    config = _train_config(args, doc)
+    spec = _feature_spec(doc)
     plan = _plan(args)
     records = _records(args, spec)
     best, report, _, stats = experiment.train_for_plan(records, plan, config, mode, spec)
@@ -271,16 +286,14 @@ def _cmd_predict(args) -> None:
     if bundle.get("schema_version") != BUNDLE_SCHEMA_VERSION:
         raise ValueError(f"unsupported model bundle schema: {bundle.get('schema_version')}")
     model = gcn.model_from_json(json.dumps(bundle["model"]))
-    spec = FeatureSpec(
-        list(bundle["feature_spec"]["features"]),
-        dict(bundle["feature_spec"]["features"]),
-        bundle["mode"],
-    )
+    spec = FeatureSpec(list(bundle["feature_spec"]["features"]), dict(bundle["feature_spec"]["features"]))
     stats = ColumnStats(
         mean=np.array(bundle["standardization"]["mean"], dtype=np.float64),
         std=np.array(bundle["standardization"]["std"], dtype=np.float64),
     )
-    g, _ = experiment.league_graph_for(_records(args, spec), args.league, args.season, spec, model.conv_stages, stats)
+    g, _ = experiment.league_graph_for(
+        _records(args, spec), args.league, args.season, spec, bundle["mode"], model.conv_stages, stats
+    )
     probs = gcn.predict(model, g)
     lines = ["team,game_id,team_game_index,p_win"]
     for (team, game_id, idx), p in zip(g.nodes, probs):
@@ -294,9 +307,10 @@ def _cmd_predict(args) -> None:
 
 def _cmd_grid_search(args) -> None:
     plan = _plan(args)
-    records = _records(args)
-    grid = (_load_json(args.config).get("grid") or None) if args.config else None
-    report = experiment.grid_search_gcn(records, plan, grid, _train_config(args))
+    doc = _config(args)
+    spec = _feature_spec(doc)
+    records = _records(args, spec)
+    report = experiment.grid_search_gcn(records, plan, doc.get("grid") or None, _train_config(args, doc), spec)
     _write_report(args, report, "grid_report")
     winner = [r for r in report.rows if r.note == "winner"][0]
     print(f"winner: {winner.model} + {winner.dataset}, test acc {winner.test_accuracy:.4f}")
@@ -347,8 +361,10 @@ def _cmd_baseline_forest(args) -> None:
 
 def _cmd_compare(args) -> None:
     plan = _plan(args)
-    records = _records(args)
-    report = experiment.compare_all(records, plan, _train_config(args))
+    doc = _config(args)
+    spec = _feature_spec(doc)
+    records = _records(args, spec)
+    report = experiment.compare_all(records, plan, _train_config(args, doc), spec=spec)
     _write_report(args, report, "compare_report")
     for row in report.rows:
         acc = "skipped" if row.test_accuracy is None else f"{row.test_accuracy:.4f}"

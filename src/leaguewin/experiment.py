@@ -113,7 +113,7 @@ class ExperimentReport:
 
 
 def model_display_name(propagator_kind: str, conv_layers: int) -> str:
-    name = "gcn-cheby" if propagator_kind == lg.CHEBYSHEV else "gcn"
+    name = next(name for name, kind in gcn.MODEL_KINDS.items() if kind == propagator_kind)
     return f"{name} ({conv_layers} layer)"
 
 
@@ -134,12 +134,13 @@ def league_graph_for(
     league: str,
     season: int,
     spec: FeatureSpec,
+    mode: str,
     convolutions: int,
     stats=None,
 ):
     """Build one league's labeled graph; returns (graph, standardization stats)."""
     recs = league_games(records, league, season)
-    matrix = standardize(build_feature_matrix(recs, spec), stats)
+    matrix = standardize(build_feature_matrix(recs, spec, mode), stats)
     g = lg.build_league_graph(recs, features=matrix)
     return lg.assign_labels(g, convolutions), matrix.standardization_stats
 
@@ -153,12 +154,10 @@ def prepare_split(
 ):
     """Three labeled graphs with val/test standardized by training-league stats."""
     if spec is None:
-        spec = FeatureSpec.default(mode)
-    elif spec.mode != mode:
-        spec = replace(spec, mode=mode)
-    train_g, stats = league_graph_for(records, plan.train_league, plan.season, spec, convolutions)
-    val_g, _ = league_graph_for(records, plan.val_league, plan.season, spec, convolutions, stats)
-    test_g, _ = league_graph_for(records, plan.test_league, plan.season, spec, convolutions, stats)
+        spec = FeatureSpec.default()
+    train_g, stats = league_graph_for(records, plan.train_league, plan.season, spec, mode, convolutions)
+    val_g, _ = league_graph_for(records, plan.val_league, plan.season, spec, mode, convolutions, stats)
+    test_g, _ = league_graph_for(records, plan.test_league, plan.season, spec, mode, convolutions, stats)
     return train_g, val_g, test_g, stats
 
 
@@ -248,7 +247,7 @@ def grid_search_gcn(
     if base_config is None:
         base_config = gcn.TrainConfig()
     cells = [
-        (replace(base_config, hidden_dims=hidden, dropout=dropout, propagator_kind=gcn.MODEL_KINDS[kind]), dataset)
+        (replace(base_config, hidden_dims=hidden, dropout=dropout, propagator_kind=kind), dataset)
         for hidden, dropout, kind, dataset in gcn_grid_cells(grid)
     ]
     if not cells:
@@ -294,14 +293,14 @@ def compare_all(
         ("gcn-cheby", [64, 64], "delta"),
     ]
     for kind, hidden, dataset in gcn_variants:
-        config = replace(gcn_config, hidden_dims=hidden, propagator_kind=gcn.MODEL_KINDS[kind])
+        config = replace(gcn_config, hidden_dims=hidden, propagator_kind=kind)
         row, _, _ = run_cross_league(records, plan, config, dataset, spec)
         rows.append(row)
 
     rows.append(random_forest_row(records, plan, lookback=5, mode="delta", seeds=rf_seeds, spec=spec))
     rows.append(scope_row(records, plan, scope_grid))
 
-    config = replace(gcn_config, hidden_dims=[64], propagator_kind=lg.CHEBYSHEV)
+    config = replace(gcn_config, hidden_dims=[64], propagator_kind="gcn-cheby")
     row, _, _ = run_cross_league(records, plan, config, "delta", spec)
     rows.append(row)
     return ExperimentReport(rows=rows)

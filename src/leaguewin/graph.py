@@ -20,6 +20,11 @@ GRAPH_SCHEMA_VERSION = 1
 NORMALIZED_ADJACENCY = "normalized_adjacency"
 CHEBYSHEV = "chebyshev"
 
+# Power iteration for the Laplacian's largest eigenvalue: the step cap, and
+# the relative change between steps at which the estimate counts as settled.
+POWER_ITERATIONS = 100
+POWER_TOL = 1e-6
+
 
 @dataclass
 class LeagueGraph:
@@ -139,9 +144,7 @@ def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
     return (sp.eye(n, format="csr") - sym_normalized(adj, add_self_loops=False)).tocsr()
 
 
-def power_iteration_lambda_max(
-    matrix: sp.spmatrix, iterations: int = 100, tol: float = 1e-6
-) -> float | None:
+def power_iteration_lambda_max(matrix: sp.spmatrix) -> float | None:
     """Largest-magnitude eigenvalue estimate; None when it fails to settle."""
     n = matrix.shape[0]
     if n == 0:
@@ -152,14 +155,14 @@ def power_iteration_lambda_max(
         return None
     v /= norm
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0:
             return None
         new_lam = float(v @ w)
         v = w / norm
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= POWER_TOL * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam
     return None
@@ -259,31 +262,6 @@ def graph_to_json(graph: LeagueGraph) -> str:
         },
     }
     return json.dumps(doc)
-
-
-def graph_from_json(text: str) -> LeagueGraph:
-    doc = json.loads(text)
-    if doc.get("schema_version") != GRAPH_SCHEMA_VERSION:
-        raise ValueError(f"unsupported graph schema: {doc.get('schema_version')}")
-    nodes = [(t, g, int(i)) for t, g, i in doc["nodes"]]
-    edges = {(int(u), int(v)) for u, v in doc["edges"]}
-    features = None
-    if doc["features"] is not None:
-        f = doc["features"]
-        features = FeatureMatrix(
-            row_keys=[(t, g) for t, g in f["row_keys"]],
-            columns=list(f["columns"]),
-            values=np.array(f["values"], dtype=np.float64).reshape(len(f["row_keys"]), len(f["columns"])),
-        )
-    return LeagueGraph(
-        nodes=nodes,
-        edges=edges,
-        adjacency=adjacency_from_edges(len(nodes), edges),
-        outcomes=np.array(doc["outcomes"], dtype=np.int8),
-        labels=np.array(doc["labels"], dtype=np.int8),
-        label_mask=np.array(doc["label_mask"], dtype=bool),
-        features=features,
-    )
 
 
 def edge_list_text(graph: LeagueGraph) -> str:

@@ -97,7 +97,6 @@ class TeamGameRecord:
 class FeatureSpec:
     names: list[str]
     categories: dict[str, str]
-    mode: str = "raw"
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -108,23 +107,10 @@ class FeatureSpec:
         bad = sorted({c for c in self.categories.values()} - set(CATEGORIES))
         if bad:
             raise ValueError(f"unknown categories: {bad}")
-        if self.mode not in ("raw", "delta"):
-            raise ValueError(f"mode must be 'raw' or 'delta', got {self.mode!r}")
 
     @classmethod
-    def default(cls, mode: str = "raw") -> "FeatureSpec":
-        return cls(list(DEFAULT_FEATURES), dict(DEFAULT_FEATURES), mode)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureSpec":
-        doc = json.loads(text)
-        features = doc.get("features")
-        if features:
-            return cls(list(features), dict(features), doc.get("mode", "raw"))
-        return cls.default(doc.get("mode", "raw"))
-
-    def to_json(self) -> str:
-        return json.dumps({"mode": self.mode, "features": self.categories}, indent=2)
+    def default(cls) -> "FeatureSpec":
+        return cls(list(DEFAULT_FEATURES), dict(DEFAULT_FEATURES))
 
 
 @dataclass
@@ -322,13 +308,18 @@ def filter_regular_season(
 def build_feature_matrix(
     records: list[TeamGameRecord],
     spec: FeatureSpec,
+    mode: str,
     report: QualityReport | None = None,
 ) -> FeatureMatrix:
     """Assemble the dense feature matrix in (league, timestamp, game_id, team) order.
 
-    Missing raw values are imputed with the column mean before any delta is
-    taken, which keeps delta rows of a game exact negations of each other.
+    ``mode`` is ``raw`` (a team's own numbers) or ``delta`` (team minus
+    opponent).  Missing raw values are imputed with the column mean before
+    any delta is taken, which keeps delta rows of a game exact negations of
+    each other.
     """
+    if mode not in ("raw", "delta"):
+        raise ValueError(f"mode must be 'raw' or 'delta', got {mode!r}")
     if report is None:
         report = QualityReport()
     ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
@@ -337,7 +328,7 @@ def build_feature_matrix(
     )
     if raw.size:
         _impute_columns(raw, spec.names, report)
-    if spec.mode == "delta":
+    if mode == "delta":
         row_of = {(r.team, r.game_id): i for i, r in enumerate(ordered)}
         values = np.empty_like(raw)
         for i, r in enumerate(ordered):

@@ -119,8 +119,8 @@ def _ten_node_graph():
     names = ["f0", "f1", "f2", "f3"]
     for r in records:
         r.features = {n: float(v) for n, v in zip(names, rng.normal(size=4))}
-    spec = FeatureSpec(names, {n: "objectives" for n in names}, "delta")
-    matrix = standardize(build_feature_matrix(records, spec))
+    spec = FeatureSpec(names, {n: "objectives" for n in names})
+    matrix = standardize(build_feature_matrix(records, spec, "delta"))
     return build_league_graph(records, features=matrix)
 
 
@@ -158,7 +158,7 @@ def test_criterion_6_no_leakage():
             seed=int(rng.integers(0, 2**31)),
         )
         records = synth.generate_league(cfg)
-        matrix = standardize(build_feature_matrix(records, FeatureSpec.default("delta")))
+        matrix = standardize(build_feature_matrix(records, FeatureSpec.default(), "delta"))
         g = assign_labels(build_league_graph(records, features=matrix), c)
         config = gcn.TrainConfig(
             hidden_dims=[4] * c, dropout=0.0,

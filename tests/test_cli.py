@@ -81,6 +81,23 @@ def test_predict_absent_league_exits_1(season_csv, plan_json, tmp_path, capsys):
     assert not pred_out.exists()
 
 
+def test_predict_bundle_with_unknown_mode_exits_1(season_csv, plan_json, tmp_path, capsys):
+    train_out = tmp_path / "train_out"
+    assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]) == 0
+    bundle = json.loads((train_out / "model.json").read_text())
+    bundle["mode"] = "bogus"
+    (train_out / "model.json").write_text(json.dumps(bundle))
+    capsys.readouterr()
+    pred_out = tmp_path / "pred_out"
+    code = cli_main(
+        ["predict", "--data", str(season_csv), "--model-file", str(train_out / "model.json"),
+         "--league", "CCC", "--season", "2020", "--out", str(pred_out)]
+    )
+    assert code == 1
+    assert "error: mode must be 'raw' or 'delta', got 'bogus'" in capsys.readouterr().err
+    assert not pred_out.exists()
+
+
 def test_baseline_forest_absent_league_exits_1(season_csv, tmp_path, capsys):
     plan = tmp_path / "absent_plan.json"
     plan.write_text(json.dumps({"train_league": "AAA", "val_league": "BBB", "test_league": "ZZZ", "season": 2020}))
@@ -110,6 +127,34 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert "error: unknown synth config keys: ['bogus']" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, key",
+    [
+        (["train", "--plan", "{plan}"], {"dropuot": 0.0, "max_epochs": 2}, "dropuot"),
+        (["build-graph", "--league", "AAA", "--season", "2020"], {"mode": "delta"}, "mode"),
+    ],
+    ids=["train-typo", "build-graph-mode"],
+)
+def test_config_key_nothing_reads_exits_1(argv, doc, key, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = [a.format(plan=plan_json) for a in argv]
+    assert cli_main([*argv, "--data", str(season_csv), "--config", str(config), "--out", str(out)]) == 1
+    assert f"unknown config keys in {config}: [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["grid-search", "compare"])
+def test_config_features_reach_grid_search_and_compare(command, season_csv, plan_json, tmp_path, capsys):
+    # A feature column the CSV lacks fails the parse, so the config's feature set was read.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"features": {"no_such_column": "objectives"}}))
+    argv = [command, "--data", str(season_csv), "--plan", str(plan_json), "--config", str(config)]
+    assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "missing required columns: ['no_such_column']" in capsys.readouterr().err
 
 
 def test_simulate_config_leagues_and_seed_flag(tmp_path):
@@ -158,6 +203,18 @@ def test_ingest_reports_blank_feature_cells(season_csv, tmp_path):
     report = json.loads((out / "quality_report.json").read_text())
     assert report["imputed"] == {"total_gold": 1, "vision_score": len(rows)}
     assert report["warnings"] == ["column 'vision_score' has no observed values; imputed 0"]
+
+
+def test_out_directory_with_a_dot_is_written_into(season_csv, tmp_path):
+    runs = tmp_path / "runs"
+    assert cli_main(["ingest", "--data", str(season_csv), "--out", str(runs / "ingest.v1")]) == 0
+    assert cli_main(
+        ["build-graph", "--data", str(season_csv), "--league", "AAA", "--season", "2020",
+         "--out", str(runs / "graph.v2")]
+    ) == 0
+    assert sorted(p.name for p in runs.iterdir()) == ["graph.v2", "ingest.v1"]
+    assert json.loads((runs / "ingest.v1" / "manifest.json").read_text())["command"] == "ingest"
+    assert json.loads((runs / "graph.v2" / "manifest.json").read_text())["command"] == "build-graph"
 
 
 def test_build_graph_outputs(season_csv, tmp_path):

@@ -7,13 +7,13 @@ from leaguewin.ingest import FeatureSpec
 
 
 def test_lookback_one_equals_previous_game(small_season):
-    spec = FeatureSpec.default("raw")
+    spec = FeatureSpec.default()
     x, y, keys = lookback_dataset(small_season, 1, "raw", spec)
     ordered = sorted(small_season, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
     history = {}
     from leaguewin.ingest import build_feature_matrix
 
-    matrix = build_feature_matrix(small_season, spec)
+    matrix = build_feature_matrix(small_season, spec, "raw")
     expect = {}
     for i, r in enumerate(ordered):
         if r.team in history:
@@ -42,7 +42,7 @@ def test_lookback_constant_features_average_to_constant():
     records = [r for r in synth.generate_league(synth.SynthConfig(n_teams=2, games_per_pair=6, seed=0))]
     for r in records:
         r.features = {"towers": 3.5}
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "raw")
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
     x, y, keys = lookback_dataset(records, 3, "raw", spec)
     assert np.allclose(x, 3.5)
 
@@ -83,13 +83,7 @@ def test_prediction_invariant_to_tree_order():
     forest = forest_train(x, y, n_trees=9, seed=2)
     row = rng.normal(size=4)
     base = forest_predict(forest, row)
-    shuffled = Forest(
-        trees=list(reversed(forest.trees)),
-        n_trees=forest.n_trees,
-        max_depth=forest.max_depth,
-        min_leaf=forest.min_leaf,
-        seed=forest.seed,
-    )
+    shuffled = Forest(trees=list(reversed(forest.trees)))
     assert forest_predict(shuffled, row) == pytest.approx(base, abs=1e-12)
 
 

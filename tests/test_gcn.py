@@ -32,7 +32,7 @@ def labeled_graph(n_teams=5, games_per_pair=2, seed=0, convolutions=1, mode="del
     records = synth.generate_league(
         synth.SynthConfig(n_teams=n_teams, games_per_pair=games_per_pair, seed=seed, latent_skill_std=1.5)
     )
-    matrix = standardize(build_feature_matrix(records, FeatureSpec.default(mode)))
+    matrix = standardize(build_feature_matrix(records, FeatureSpec.default(), mode))
     return assign_labels(build_league_graph(records, features=matrix), convolutions)
 
 
@@ -255,8 +255,8 @@ def test_mask_isolation_outside_receptive_field():
     rng = np.random.default_rng(0)
     for r in records:
         r.features = {"towers": float(rng.normal())}
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "delta")
-    matrix = standardize(build_feature_matrix(records, spec))
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
+    matrix = standardize(build_feature_matrix(records, spec, "delta"))
     g = assign_labels(build_league_graph(records, features=matrix), 1)
     from leaguewin.graph import receptive_field
 

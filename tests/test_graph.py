@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -12,7 +13,6 @@ from leaguewin.graph import (
     build_league_graph,
     chebyshev_basis,
     edge_list_text,
-    graph_from_json,
     graph_to_json,
     label_source_node,
     normalized_adjacency,
@@ -246,15 +246,17 @@ def test_receptive_field_matches_matrix_power(medium_season):
 def test_graph_json_round_trip(small_season):
     from leaguewin.ingest import FeatureSpec, build_feature_matrix
 
-    matrix = build_feature_matrix(small_season, FeatureSpec.default("delta"))
+    matrix = build_feature_matrix(small_season, FeatureSpec.default(), "delta")
     g = assign_labels(build_league_graph(small_season, features=matrix), 1)
-    back = graph_from_json(graph_to_json(g))
-    assert back.nodes == g.nodes and back.edges == g.edges
-    assert np.array_equal(back.labels, g.labels)
-    assert np.array_equal(back.label_mask, g.label_mask)
-    assert np.array_equal(back.outcomes, g.outcomes)
-    assert np.array_equal(back.features.values, g.features.values)
-    assert (back.adjacency != g.adjacency).nnz == 0
+    doc = json.loads(graph_to_json(g))
+    assert [tuple(n) for n in doc["nodes"]] == g.nodes
+    assert {tuple(e) for e in doc["edges"]} == g.edges
+    assert np.array_equal(doc["labels"], g.labels)
+    assert np.array_equal(doc["label_mask"], g.label_mask)
+    assert np.array_equal(doc["outcomes"], g.outcomes)
+    assert [tuple(k) for k in doc["features"]["row_keys"]] == g.features.row_keys
+    assert doc["features"]["columns"] == g.features.columns
+    assert np.array_equal(np.array(doc["features"]["values"]), g.features.values)
 
 
 def test_edge_list_format():

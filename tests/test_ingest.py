@@ -132,34 +132,34 @@ def test_filter_drops_non_regular_season(default_spec):
 
 
 def test_delta_mode_antisymmetry():
-    spec = FeatureSpec(["total_gold"], {"total_gold": "gold_experience"}, "delta")
+    spec = FeatureSpec(["total_gold"], {"total_gold": "gold_experience"})
     records = _two_record_game(gold_a=60000.0, gold_b=55000.0)
-    matrix = build_feature_matrix(records, spec)
+    matrix = build_feature_matrix(records, spec, "delta")
     rows = dict(zip(matrix.row_keys, matrix.values[:, 0]))
     assert rows[("A", "g1")] == 5000.0
     assert rows[("B", "g1")] == -5000.0
 
 
 def test_raw_mode_keeps_values():
-    spec = FeatureSpec(["total_gold"], {"total_gold": "gold_experience"}, "raw")
-    matrix = build_feature_matrix(_two_record_game(60000.0, 55000.0), spec)
+    spec = FeatureSpec(["total_gold"], {"total_gold": "gold_experience"})
+    matrix = build_feature_matrix(_two_record_game(60000.0, 55000.0), spec, "raw")
     assert sorted(matrix.values[:, 0]) == [55000.0, 60000.0]
 
 
 def test_delta_columns_sum_to_zero_exactly(small_season):
-    spec = FeatureSpec.default("delta")
-    matrix = build_feature_matrix(small_season, spec)
+    spec = FeatureSpec.default()
+    matrix = build_feature_matrix(small_season, spec, "delta")
     # Antisymmetry implies an exact zero sum: verify by direct summation.
     for j in range(matrix.values.shape[1]):
         assert matrix.values[:, j].sum() == 0.0
 
 
 def test_imputation_counts_and_keeps_antisymmetry(small_season):
-    spec = FeatureSpec.default("delta")
+    spec = FeatureSpec.default()
     broken = small_season[3]
     broken.features["total_gold"] = float("nan")
     report = QualityReport()
-    matrix = build_feature_matrix(small_season, spec, report)
+    matrix = build_feature_matrix(small_season, spec, "delta", report)
     assert report.imputed == {"total_gold": 1}
     assert not np.isnan(matrix.values).any()
     j = matrix.columns.index("total_gold")
@@ -171,7 +171,7 @@ def test_imputation_counts_and_keeps_antisymmetry(small_season):
 
 
 def test_standardize_hand_oracle():
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "raw")
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
     matrix = _matrix_from_column(spec, [2.0, 4.0, 6.0])
     out = standardize(matrix)
     mean = (2 + 4 + 6) / 3
@@ -183,7 +183,7 @@ def test_standardize_hand_oracle():
 
 
 def test_standardize_constant_column_warns():
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "raw")
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
     matrix = _matrix_from_column(spec, [5.0, 5.0, 5.0])
     with pytest.warns(UserWarning, match="zero-variance"):
         out = standardize(matrix)
@@ -192,7 +192,7 @@ def test_standardize_constant_column_warns():
 
 
 def test_standardize_apply_twice_with_identity_stats():
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "raw")
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
     out = standardize(_matrix_from_column(spec, [1.0, 2.0, 9.0]))
     identity = ColumnStats(mean=np.zeros(1), std=np.ones(1))
     again = standardize(out, identity)
@@ -200,7 +200,7 @@ def test_standardize_apply_twice_with_identity_stats():
 
 
 def test_standardize_with_training_stats():
-    spec = FeatureSpec(["towers"], {"towers": "objectives"}, "raw")
+    spec = FeatureSpec(["towers"], {"towers": "objectives"})
     train = standardize(_matrix_from_column(spec, [0.0, 10.0]))
     test = standardize(_matrix_from_column(spec, [5.0, 15.0]), train.standardization_stats)
     assert np.allclose(test.values[:, 0], [0.0, 2.0])
