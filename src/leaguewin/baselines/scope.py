@@ -279,13 +279,6 @@ def default_scope_grid() -> dict[str, list]:
     }
 
 
-def grid_size(grid: dict[str, list]) -> int:
-    n = 1
-    for f in GRID_FIELDS:
-        n *= len(grid.get(f, [1]))
-    return n
-
-
 def grid_configs(grid: dict[str, list]) -> list[ScopeConfig]:
     defaults = ScopeConfig()
     axes = [grid[f] if f in grid else [getattr(defaults, f)] for f in GRID_FIELDS]

@@ -156,22 +156,52 @@ def _load_json(path) -> dict:
     return json.loads(Path(path).read_text("utf-8"))
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, float) or _integer(value)
+
+
+def _object_of(value, kind: type) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, kind) for v in value.values())
+
+
 # What a --config file may hold for the commands that build features or
-# train: a feature set, TrainConfig fields and grid-search's grid.
-# simulate and baseline-scope read configs of their own.
-CONFIG_KEYS = {"features", "grid", *gcn.TrainConfig.__dataclass_fields__}
+# train, with the JSON value each key takes: a feature set, TrainConfig
+# fields and grid-search's grid (null selects the default feature set or
+# grid).  simulate and baseline-scope read configs of their own.
+CONFIG_TYPES = {
+    "features": ("an object of feature name -> category", lambda v: v is None or _object_of(v, str)),
+    "grid": ("an object of lists", lambda v: v is None or _object_of(v, list)),
+    "learning_rate": ("a number", _number),
+    "max_epochs": ("an integer", _integer),
+    "early_stop_patience": ("an integer", _integer),
+    "weight_decay": ("a number", _number),
+    "dropout": ("a number", _number),
+    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(_integer, v))),
+    "propagator_kind": ("a string", lambda v: isinstance(v, str)),
+    "chebyshev_degree": ("an integer", _integer),
+    "seed": ("an integer", _integer),
+}
 
 
 def _config(args) -> dict:
-    """The --config JSON object, {} without one; exits 1 on a key nothing reads."""
+    """The --config JSON object, {} without one; exits 1 on a key nothing
+    reads or a value of the wrong JSON type."""
     if not args.config:
         return {}
     doc = _load_json(args.config)
     if not isinstance(doc, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(set(doc) - CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(CONFIG_TYPES))
     if unknown:
         raise ValueError(f"unknown config keys in {args.config}: {unknown}")
+    for key, value in doc.items():
+        expected, check = CONFIG_TYPES[key]
+        if not check(value):
+            raise ValueError(f"config key {key!r} in {args.config} must be {expected}, got {json.dumps(value)}")
     return doc
 
 

@@ -70,12 +70,6 @@ class ExperimentRow:
 class ExperimentReport:
     rows: list[ExperimentRow] = field(default_factory=list)
 
-    def best_row(self) -> ExperimentRow:
-        scored = [r for r in self.rows if r.test_accuracy is not None]
-        if not scored:
-            raise ValueError("report has no scored rows")
-        return max(scored, key=lambda r: r.test_accuracy)
-
     def to_json(self) -> str:
         return json.dumps(
             [

@@ -5,6 +5,13 @@ basis (one matrix for the normalized adjacency, K+1 for a Chebyshev basis);
 the final stage is a plain dense map to two logits, so the receptive field
 is exactly the number of convolution stages.  Dropout is applied to every
 stage input during training with inverted 1/(1-p) scaling.
+
+Only the products a result needs are formed.  A Chebyshev basis's T0 = I is
+applied as the identity, with no matrix.  ``train`` propagates each graph's
+features through the first stage once, and its dropout-off passes (the
+train-graph evaluation and the validation pass) reuse that every epoch.
+``backward`` stops at the first stage's weight gradients: nothing reads the
+gradient of the network input.
 """
 
 from __future__ import annotations
@@ -137,9 +144,25 @@ def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
 
 
 def dense_propagator(propagator: lg.Propagator | list[np.ndarray]) -> list[np.ndarray]:
+    """Dense copies of the basis matrices the layer multiplies by.
+
+    A Chebyshev basis gives T1..TK: its T0 = I is applied as the identity.
+    A list of arrays is taken to be in this form already.
+    """
     if isinstance(propagator, lg.Propagator):
-        return [np.asarray(m.todense(), dtype=np.float64) for m in propagator.matrices]
+        matrices = propagator.matrices
+        if propagator.kind == lg.CHEBYSHEV:
+            matrices = matrices[1:]
+        return [np.asarray(m.todense(), dtype=np.float64) for m in matrices]
     return [np.asarray(m, dtype=np.float64) for m in propagator]
+
+
+def _apply_basis(model: GcnModel, mats: list[np.ndarray], hs: list[np.ndarray]) -> list[np.ndarray]:
+    """[B_k @ hs[k]] over the model's basis; a Chebyshev T0 = I passes hs[0] through."""
+    skip = 1 if model.propagator_kind == lg.CHEBYSHEV else 0
+    if len(hs) != skip + len(mats):
+        raise ValueError(f"basis size mismatch: {len(mats)} dense matrices for {len(hs)} terms")
+    return hs[:skip] + [p @ h for p, h in zip(mats, hs[skip:])]
 
 
 def forward(
@@ -149,17 +172,19 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray | None] | None = None,
+    first_stage: list[np.ndarray] | None = None,
 ):
     """Run the network; returns (logits, cache) with everything backward needs.
 
     ``dropout_masks`` replays recorded masks (used by the gradient checks);
     otherwise masks are drawn from ``rng`` when training with dropout > 0.
+    ``first_stage`` is the basis applied to ``x``, computed once by the
+    caller; a pass without dropout reuses it for the first stage.
     """
     mats = dense_propagator(propagator)
-    if x.shape[0] != mats[0].shape[0]:
-        raise ValueError(
-            f"propagator is {mats[0].shape[0]}x{mats[0].shape[0]} but features have {x.shape[0]} rows"
-        )
+    for p in mats:
+        if x.shape[0] != p.shape[0]:
+            raise ValueError(f"propagator is {p.shape[0]}x{p.shape[0]} but features have {x.shape[0]} rows")
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"model expects {model.layer_dims[0]} input features, got {x.shape[1]}"
@@ -167,6 +192,8 @@ def forward(
     use_dropout = training and model.dropout > 0.0
     if use_dropout and rng is None and dropout_masks is None:
         raise ValueError("training forward with dropout needs an rng or recorded masks")
+    if use_dropout and first_stage is not None:
+        raise ValueError("a precomputed first stage holds no dropout mask")
 
     h = np.asarray(x, dtype=np.float64)
     stages = []
@@ -183,9 +210,12 @@ def forward(
         is_conv = s < n_stages - 1 or n_stages == 1
         if is_conv:
             expected = n_basis(model.propagator_kind, model.chebyshev_degree)
-            if len(stage_weights) != expected or len(mats) != expected:
+            if len(stage_weights) != expected:
                 raise ValueError(f"stage {s}: basis size mismatch")
-            ph = [p @ h_in for p in mats]
+            if s == 0 and first_stage is not None:
+                ph = first_stage
+            else:
+                ph = _apply_basis(model, mats, [h_in] * expected)
             z = sum(ph_k @ w_k for ph_k, w_k in zip(ph, stage_weights))
         else:
             ph = None
@@ -260,14 +290,15 @@ def backward(
             raise ValueError(f"stage {s}: cache shape drift")
         if st["is_conv"]:
             grads[s] = [ph_k.T @ dz for ph_k in st["ph"]]
-            dh = sum(p @ (dz @ w.T) for p, w in zip(mats, model.weights[s]))
         else:
             grads[s] = [st["h_in"].T @ dz]
-            dh = dz @ model.weights[s][0].T
+        if s == 0:
+            break  # nothing reads the gradient of the network input
+        back = [dz @ w.T for w in model.weights[s]]
+        dh = sum(_apply_basis(model, mats, back)) if st["is_conv"] else back[0]
         if st["mask"] is not None:
             dh = dh * st["mask"]
-        if s > 0:
-            dz = dh * (stages[s - 1]["z"] > 0)
+        dz = dh * (stages[s - 1]["z"] > 0)
     if weight_decay:
         for k, w in enumerate(model.weights[0]):
             grads[0][k] = grads[0][k] + weight_decay * w
@@ -300,8 +331,12 @@ def train(
     model = replace(model, weights=model.copy_weights())  # never mutate the caller's model
     p_train = dense_propagator(build_propagator(train_graph, model.propagator_kind, model.chebyshev_degree))
     p_val = dense_propagator(build_propagator(val_graph, model.propagator_kind, model.chebyshev_degree))
-    x_train = train_graph.features.values
-    x_val = val_graph.features.values
+    x_train = np.asarray(train_graph.features.values, dtype=np.float64)
+    x_val = np.asarray(val_graph.features.values, dtype=np.float64)
+    # The dropout-off passes see the same first-stage input every epoch.
+    k = n_basis(model.propagator_kind, model.chebyshev_degree)
+    first_train = _apply_basis(model, p_train, [x_train] * k)
+    first_val = _apply_basis(model, p_val, [x_val] * k)
 
     rng = np.random.default_rng(config.seed)
     m_state = [[np.zeros_like(w) for w in stage] for stage in model.weights]
@@ -326,12 +361,12 @@ def train(
                 v_hat = v / (1 - beta2**epoch)
                 w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-        eval_logits, _ = forward(model, x_train, p_train, training=False)
+        eval_logits, _ = forward(model, x_train, p_train, training=False, first_stage=first_train)
         report.train_loss.append(
             masked_loss(eval_logits, train_graph.labels, train_graph.label_mask, config.weight_decay, model.weights)
         )
         report.train_acc.append(masked_accuracy(eval_logits, train_graph.labels, train_graph.label_mask))
-        val_logits, _ = forward(model, x_val, p_val, training=False)
+        val_logits, _ = forward(model, x_val, p_val, training=False, first_stage=first_val)
         report.val_loss.append(masked_loss(val_logits, val_graph.labels, val_graph.label_mask))
         report.val_acc.append(masked_accuracy(val_logits, val_graph.labels, val_graph.label_mask))
 

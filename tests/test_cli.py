@@ -147,6 +147,30 @@ def test_config_key_nothing_reads_exits_1(argv, doc, key, season_csv, plan_json,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, doc, key",
+    [
+        (["ingest"], {"features": 3}, "features"),
+        (["train", "--plan", "{plan}"], {"hidden_dims": "ab"}, "hidden_dims"),
+    ],
+    ids=["ingest-features-int", "train-hidden-dims-str"],
+)
+def test_config_value_of_wrong_type_exits_1(argv, doc, key, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = [a.format(plan=plan_json) for a in argv]
+    assert cli_main([*argv, "--data", str(season_csv), "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: config key {key!r} in {config} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_types_cover_every_train_config_field():
+    from leaguewin import cli, gcn
+
+    assert set(cli.CONFIG_TYPES) == {"features", "grid", *gcn.TrainConfig.__dataclass_fields__}
+
+
 @pytest.mark.parametrize("command", ["grid-search", "compare"])
 def test_config_features_reach_grid_search_and_compare(command, season_csv, plan_json, tmp_path, capsys):
     # A feature column the CSV lacks fails the parse, so the config's feature set was read.

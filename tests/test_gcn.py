@@ -11,6 +11,7 @@ from leaguewin.gcn import (
     TrainConfig,
     TrainingDiverged,
     backward,
+    dense_propagator,
     forward,
     init_model,
     masked_accuracy,
@@ -21,7 +22,7 @@ from leaguewin.gcn import (
     softmax,
     train,
 )
-from leaguewin.graph import assign_labels, build_league_graph, chebyshev_basis, normalized_adjacency
+from leaguewin.graph import CHEBYSHEV, assign_labels, build_league_graph, chebyshev_basis, normalized_adjacency
 from leaguewin.ingest import FeatureSpec, build_feature_matrix, standardize
 from test_graph import _edgeless_graph, game
 
@@ -360,6 +361,130 @@ def test_train_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
             train(model, g, g_val, config)
+
+
+def _reference_forward(weights, mats, x, dropout, rng):
+    """Every product of the layer rule: mats holds the whole basis, T0 = I included."""
+    h, stages = x, []
+    for s, ws in enumerate(weights):
+        mask = None
+        if rng is not None and dropout > 0.0:
+            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+        h_in = h * mask if mask is not None else h
+        if s < len(weights) - 1 or len(weights) == 1:
+            ph = [p @ h_in for p in mats]
+            z = sum(ph_k @ w_k for ph_k, w_k in zip(ph, ws))
+        else:
+            ph = None
+            z = h_in @ ws[0]
+        stages.append((h_in, ph, z, mask))
+        h = np.maximum(z, 0.0) if s < len(weights) - 1 else z
+    return h, stages
+
+
+def _reference_backward(weights, mats, stages, logits, labels, label_mask, weight_decay):
+    idx = np.flatnonzero(label_mask)
+    dz = softmax(logits)
+    onehot = np.zeros_like(dz)
+    onehot[idx, labels[idx].astype(int)] = 1.0
+    dz -= onehot
+    dz[~label_mask.astype(bool)] = 0.0
+    dz /= idx.size
+    grads = [None] * len(weights)
+    for s in range(len(weights) - 1, -1, -1):
+        h_in, ph, _, mask = stages[s]
+        if ph is not None:
+            grads[s] = [ph_k.T @ dz for ph_k in ph]
+            dh = sum(p @ (dz @ w.T) for p, w in zip(mats, weights[s]))
+        else:
+            grads[s] = [h_in.T @ dz]
+            dh = dz @ weights[s][0].T
+        if mask is not None:
+            dh = dh * mask
+        if s > 0:
+            dz = dh * (stages[s - 1][2] > 0)
+        # At s == 0, dh is the input gradient: formed here and then dropped.
+    if weight_decay:
+        grads[0] = [g + weight_decay * w for g, w in zip(grads[0], weights[0])]
+    return grads
+
+
+def _reference_basis(g, model):
+    prop = gcn.build_propagator(g, model.propagator_kind, model.chebyshev_degree)
+    mats = [m.toarray() for m in prop.matrices]
+    if model.propagator_kind == CHEBYSHEV:
+        mats[0] = np.eye(g.n_nodes)
+    return mats
+
+
+def _reference_train(model, g, g_val, config):
+    """gcn.train done longhand: three full forwards an epoch and the stage-0 input gradient."""
+    weights = model.copy_weights()
+    p_train, p_val = _reference_basis(g, model), _reference_basis(g_val, model)
+    x, x_val = g.features.values, g_val.features.values
+    rng = np.random.default_rng(config.seed)
+    m_state = [[np.zeros_like(w) for w in stage] for stage in weights]
+    v_state = [[np.zeros_like(w) for w in stage] for stage in weights]
+    report = gcn.TrainReport()
+    best_acc, best_weights, stall = -np.inf, [[w.copy() for w in stage] for stage in weights], 0
+    for epoch in range(1, config.max_epochs + 1):
+        logits, stages = _reference_forward(weights, p_train, x, model.dropout, rng)
+        grads = _reference_backward(weights, p_train, stages, logits, g.labels, g.label_mask, config.weight_decay)
+        for s, stage in enumerate(weights):
+            for k, w in enumerate(stage):
+                m = m_state[s][k] = 0.9 * m_state[s][k] + (1 - 0.9) * grads[s][k]
+                v = v_state[s][k] = 0.999 * v_state[s][k] + (1 - 0.999) * grads[s][k] ** 2
+                w -= config.learning_rate * (m / (1 - 0.9**epoch)) / (np.sqrt(v / (1 - 0.999**epoch)) + 1e-8)
+        eval_logits, _ = _reference_forward(weights, p_train, x, model.dropout, None)
+        report.train_loss.append(masked_loss(eval_logits, g.labels, g.label_mask, config.weight_decay, weights))
+        report.train_acc.append(masked_accuracy(eval_logits, g.labels, g.label_mask))
+        val_logits, _ = _reference_forward(weights, p_val, x_val, model.dropout, None)
+        report.val_loss.append(masked_loss(val_logits, g_val.labels, g_val.label_mask))
+        report.val_acc.append(masked_accuracy(val_logits, g_val.labels, g_val.label_mask))
+        if report.val_acc[-1] > best_acc:
+            best_acc, report.best_epoch, stall = report.val_acc[-1], epoch, 0
+            best_weights = [[w.copy() for w in stage] for stage in weights]
+        else:
+            stall += 1
+            if stall >= config.early_stop_patience:
+                break
+    return best_weights, report
+
+
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("kind,degree", [("gcn", 1), ("gcn-cheby", 1), ("gcn-cheby", 2)])
+def test_train_matches_every_product_reference(kind, degree, layers, dropout):
+    # train skips T0 = I, reuses the dropout-off first stage and drops the
+    # stage-0 input gradient; none of that may move a single bit.
+    g = labeled_graph(seed=1, convolutions=layers)
+    g_val = labeled_graph(seed=2, convolutions=layers)
+    config = TrainConfig(
+        hidden_dims=[8] * layers, dropout=dropout, max_epochs=25, early_stop_patience=8,
+        propagator_kind=kind, chebyshev_degree=degree, seed=4,
+    )
+    model = init_model(config, g.features.values.shape[1])
+    best, report = train(model, g, g_val, config)
+    ref_weights, ref_report = _reference_train(model, g, g_val, config)
+    assert report == ref_report
+    for sa, sb in zip(best.weights, ref_weights):
+        for wa, wb in zip(sa, sb):
+            assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_dense_propagator_leaves_out_chebyshev_identity(degree):
+    g = labeled_graph(seed=1)
+    basis = chebyshev_basis(g, degree)
+    mats = dense_propagator(basis)
+    assert len(mats) == degree
+    for m, t in zip(mats, basis.matrices[1:]):
+        assert type(m) is np.ndarray and m.dtype == np.float64
+        assert m.shape == (g.n_nodes, g.n_nodes)
+        assert np.array_equal(m, t.toarray())
+    (adj,) = dense_propagator(normalized_adjacency(g))
+    assert type(adj) is np.ndarray and adj.dtype == np.float64
+    assert np.array_equal(adj, normalized_adjacency(g).matrices[0].toarray())
 
 
 def test_train_report_is_deterministic():
