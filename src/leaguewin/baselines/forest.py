@@ -1,9 +1,17 @@
-"""Lookback random forest: bagged Gini trees over averaged past-game features."""
+"""Lookback random forest: bagged Gini trees over averaged past-game features.
+
+A forest's trees depend on the order of its random draws.  Every tree takes
+one bootstrap sample from the forest's generator, then one
+``rng.permutation(d)`` per scanned node, in depth-first preorder (a node,
+then its left subtree, then its right).  A node is scanned when it may
+split: below ``max_depth``, with at least ``2 * min_leaf`` rows and both
+classes present.  Any change to how trees are grown must keep this order,
+or the forests of every seed change.
+"""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,46 +80,51 @@ def forest_train(
     min_leaf: int = 1,
     seed: int = 0,
 ) -> Forest:
-    """Bootstrap-bagged trees with sqrt(d) feature candidates per node."""
+    """Bootstrap-bagged trees with sqrt(d) feature candidates per node.
+
+    Labels are 0 or 1.  Single-class data grows one-leaf trees, a constant
+    predictor.
+    """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int8)
+    y = np.asarray(y)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
-    if len(np.unique(y)) < 2:
-        warnings.warn("single-class training data; forest is a constant predictor", stacklevel=2)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    y = y.astype(np.int64)
+    keys, values = kernels.split_keys(x, y)
     rng = np.random.default_rng(seed)
     n, d = x.shape
     n_candidates = max(1, int(math.isqrt(d)))
+
+    def grow(tree: Tree, idx: np.ndarray, n_pos: int, depth: int) -> int:
+        node = len(tree.feature)
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(n_pos / idx.size)
+        tree.count.append(idx.size)
+        if depth >= max_depth or idx.size < 2 * min_leaf or n_pos in (0, idx.size):
+            return node
+        feats = rng.permutation(d)[:n_candidates]
+        best_feat, best_thresh, _, left_pos = kernels.best_split(keys, values, idx, feats, min_leaf)
+        if best_feat < 0:
+            return node
+        go_left = x[idx, best_feat] <= best_thresh
+        tree.feature[node] = best_feat
+        tree.threshold[node] = best_thresh
+        tree.left[node] = grow(tree, idx[go_left], left_pos, depth + 1)
+        tree.right[node] = grow(tree, idx[~go_left], n_pos - left_pos, depth + 1)
+        return node
+
     trees = []
     for _ in range(n_trees):
-        sample = rng.integers(0, n, size=n)
+        sample = np.sort(rng.integers(0, n, size=n))
         tree = Tree()
-        _grow(tree, x, y, np.sort(sample).astype(np.int64), 0, max_depth, min_leaf, n_candidates, rng)
+        grow(tree, sample, int(y[sample].sum()), 0)
         trees.append(tree)
     return Forest(trees=trees)
-
-
-def _grow(tree, x, y, idx, depth, max_depth, min_leaf, n_candidates, rng) -> int:
-    node = len(tree.feature)
-    pos = float(y[idx].sum()) / idx.size
-    tree.feature.append(-1)
-    tree.threshold.append(0.0)
-    tree.left.append(-1)
-    tree.right.append(-1)
-    tree.value.append(pos)
-    tree.count.append(int(idx.size))
-    if depth >= max_depth or idx.size < 2 * min_leaf or pos in (0.0, 1.0):
-        return node
-    feats = rng.permutation(x.shape[1])[:n_candidates].astype(np.int64)
-    best_feat, best_thresh, _ = kernels.best_split(x, y, idx, feats, min_leaf)
-    if best_feat < 0:
-        return node
-    go_left = x[idx, best_feat] <= best_thresh
-    tree.feature[node] = int(best_feat)
-    tree.threshold[node] = float(best_thresh)
-    tree.left[node] = _grow(tree, x, y, idx[go_left], depth + 1, max_depth, min_leaf, n_candidates, rng)
-    tree.right[node] = _grow(tree, x, y, idx[~go_left], depth + 1, max_depth, min_leaf, n_candidates, rng)
-    return node
 
 
 def forest_predict(forest: Forest, row: np.ndarray) -> float:

@@ -331,6 +331,7 @@ def random_forest_row(
         params={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "seeds": seeds},
         test_accuracy=float(np.mean(accs)),
         std=float(np.std(accs)),
+        note="" if len(np.unique(y_train)) > 1 else "single-class training data: constant predictor",
     )
 
 

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.chebyshev_degree < 0:
             raise ValueError("chebyshev_degree must be >= 0")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
 
 
 @dataclass

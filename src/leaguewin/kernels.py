@@ -4,8 +4,11 @@
 independent across configurations, so ratings are held as an
 ``(n_teams, n_configs)`` array and the games are walked once for the whole
 SCOPE lattice.  ``best_split`` is the Gini split scan run at every tree node
-of every forest; it sorts each candidate feature once and scores every
-threshold from cumulative label counts.
+of every forest; it sorts each candidate feature's integer keys (value rank
+and label, made once per forest by ``split_keys``) once, scores every
+threshold from cumulative label counts with both sides of the cut stacked
+into one array, and returns the left side's positive count so the grower
+never recounts a child's labels.
 
 Both evaluate the same floating-point expressions, in the same operand
 order, as the scalar rules they replace (``baselines.scope.scope_update``
@@ -106,15 +109,43 @@ def scope_pass(
     return n_correct
 
 
-def best_split(x, y, sample_idx, feat_idx, min_leaf):
+def split_keys(x, y):
+    """The per-forest inputs of ``best_split``: sort keys and distinct values.
+
+    ``keys[f, i]`` is ``2 * r + y[i]``, where r is the rank of ``x[i, f]``
+    among feature f's sorted distinct values, and ``values[f, r]`` is that
+    value (each row of ``values`` is zero-padded past its distinct count).
+    Sorting a node's keys orders its rows by value, puts equal values next
+    to each other and carries each row's 0/1 label in the low bit, so a
+    node needs one integer sort per candidate feature and no label gather.
+    """
+    n, d = x.shape
+    keys = np.empty((d, n), dtype=np.int64)
+    values = np.zeros((d, n), dtype=np.float64)
+    for f in range(d):
+        distinct, rank = np.unique(x[:, f], return_inverse=True)
+        keys[f] = 2 * rank + y
+        values[f, : distinct.size] = distinct
+    return keys, values
+
+
+def best_split(keys, values, sample_idx, feat_idx, min_leaf):
     """Gini-minimizing axis-aligned split over the candidate features.
 
-    Thresholds are midpoints between consecutive distinct values; splits
-    leaving fewer than min_leaf rows on either side are skipped.  Ties keep
-    the first candidate feature and the lowest threshold, so results are
-    deterministic.
+    ``keys`` and ``values`` come from ``split_keys``.  Cuts lie between
+    consecutive distinct values; splits leaving fewer than min_leaf rows on
+    either side are skipped.  Ties keep the first candidate feature and the
+    lowest threshold, so results are deterministic.
 
-    Returns (feature, threshold, gini); feature is -1 when no valid split.
+    The threshold between sorted neighbours a < b is the midpoint
+    ``0.5 * (a + b)`` when a <= midpoint < b, and a otherwise (the midpoint
+    of adjacent doubles can round onto b, and the sum of two huge ones
+    overflows), the rule scikit-learn's splitter uses.  Either way
+    ``x <= threshold`` sends exactly the rows up to the cut left.
+
+    Returns (feature, threshold, gini, left_pos): feature is -1 when no
+    valid split exists, and left_pos is the number of positive rows with
+    ``x[row, feature] <= threshold``.
     """
     m = sample_idx.shape[0]
     # A cut after sorted position s leaves s + 1 rows left and m - s - 1
@@ -122,25 +153,28 @@ def best_split(x, y, sample_idx, feat_idx, min_leaf):
     lo = max(min_leaf, 1) - 1
     hi = m - max(min_leaf, 1)
     if lo >= hi:
-        return -1, 0.0, math.inf
-    vals = x[sample_idx[None, :], feat_idx[:, None]]  # (n_candidates, m)
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = vals[np.arange(feat_idx.shape[0])[:, None], order]
-    # int64 counts: y is int8 and a node can hold more than 127 positives.
-    pos = np.cumsum(y[sample_idx][order], axis=1, dtype=np.int64)
-    total_pos = pos[0, -1]
-    pos = pos[:, lo:hi]
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    n_right = m - n_left
-    p_l = pos / n_left
-    p_r = (total_pos - pos) / n_right
-    q_l = 1.0 - p_l
-    q_r = 1.0 - p_r
-    g_l = 1.0 - p_l * p_l - q_l * q_l
-    g_r = 1.0 - p_r * p_r - q_r * q_r
-    gini = (n_left * g_l + n_right * g_r) / m
-    gini[vals[:, lo:hi] == vals[:, lo + 1 : hi + 1]] = np.inf  # no cut between equal values
-    j, s = divmod(int(np.argmin(gini)), hi - lo)  # first minimum in (candidate, threshold) order
+        return -1, 0.0, math.inf, 0
+    node_keys = keys.take(feat_idx, axis=0).take(sample_idx, axis=1)  # (n_candidates, m)
+    node_keys.sort(axis=1)
+    rank = node_keys >> 1
+    pos = (node_keys & 1).cumsum(axis=1)
+    left = pos[:, lo:hi]
+    n_left = np.arange(lo + 1, hi + 1)
+    # Left and right sides stacked on a leading axis of 2: one pass scores
+    # both with the elementwise expressions of the per-side rule.
+    counts = np.array((left, pos[0, -1] - left))
+    sizes = np.array((n_left, m - n_left))[:, None, :]
+    p = counts / sizes
+    q = 1.0 - p
+    weighted = sizes * (1.0 - p * p - q * q)
+    gini = (weighted[0] + weighted[1]) / m
+    gini[rank[:, lo:hi] == rank[:, lo + 1 : hi + 1]] = np.inf  # no cut between equal values
+    j, s = divmod(int(gini.argmin()), hi - lo)  # first minimum in (candidate, threshold) order
     if gini[j, s] == np.inf:
-        return -1, 0.0, math.inf
-    return int(feat_idx[j]), float(0.5 * (vals[j, lo + s] + vals[j, lo + s + 1])), float(gini[j, s])
+        return -1, 0.0, math.inf, 0
+    feature = int(feat_idx[j])
+    below, above = float(values[feature, rank[j, lo + s]]), float(values[feature, rank[j, lo + s + 1]])
+    threshold = 0.5 * (below + above)
+    if not below <= threshold < above:
+        threshold = below
+    return feature, threshold, float(gini[j, s]), int(left[j, s])

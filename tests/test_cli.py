@@ -165,6 +165,17 @@ def test_config_value_of_wrong_type_exits_1(argv, doc, key, season_csv, plan_jso
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", [0, -4])
+def test_train_hidden_width_below_one_exits_1(width, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hidden_dims": [width], "max_epochs": 3}))
+    out = tmp_path / "o"
+    argv = ["train", "--plan", str(plan_json), "--data", str(season_csv), "--config", str(config), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert f"error: hidden_dims entries must be >= 1, got [{width}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_types_cover_every_train_config_field():
     from leaguewin import cli, gcn
 

@@ -175,6 +175,17 @@ def test_compare_all_rows_and_formats():
     assert len(csv_text.splitlines()) == 7
 
 
+def test_forest_row_notes_single_class_training_data():
+    records = three_leagues(seed=100)
+    for r in records:
+        if r.league == PLAN.train_league:
+            r.won = True
+    row = experiment.random_forest_row(records, PLAN, seeds=2)
+    assert row.note == "single-class training data: constant predictor"
+    assert row.test_accuracy is not None and row.std == 0.0
+    assert experiment.random_forest_row(three_leagues(seed=100), PLAN, seeds=2).note == ""
+
+
 def test_compare_all_skips_scope_without_history():
     records = three_leagues(seed=100)  # single season: no 2018/2019 data
     report = compare_all(records, PLAN, gcn.TrainConfig(dropout=0.1, seed=0), rf_seeds=2)

@@ -56,11 +56,12 @@ def test_separable_training_data_fits_exactly():
     assert (pred == (y == 1)).all()
 
 
-def test_single_class_warns_and_predicts_constant():
+def test_single_class_predicts_constant_without_warning():
+    # pytest turns any warning into an error, so this also checks none is raised.
     x = np.random.default_rng(0).normal(size=(10, 3))
     y = np.ones(10, dtype=np.int8)
-    with pytest.warns(UserWarning, match="single-class"):
-        forest = forest_train(x, y, n_trees=5, seed=0)
+    forest = forest_train(x, y, n_trees=5, seed=0)
+    assert all(tree.left == [-1] for tree in forest.trees)
     assert forest_predict(forest, x[0]) == 1.0
 
 
@@ -141,6 +142,11 @@ def test_permutation_null_destroys_signal():
         pred = forest_predict_many(forest, x_test) > 0.5
         accs.append(float((pred == (y_test == 1)).mean()))
     assert abs(np.mean(accs) - 0.5) < 0.05
+
+
+def test_labels_must_be_binary():
+    with pytest.raises(ValueError, match="0 or 1"):
+        forest_train(np.zeros((3, 2)), np.array([0, 1, 2]))
 
 
 def test_requires_two_rows():

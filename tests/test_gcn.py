@@ -62,6 +62,12 @@ def test_init_shapes_chebyshev():
     assert model.conv_stages == 1
 
 
+@pytest.mark.parametrize("hidden_dims", [[0], [-4], [8, 0]])
+def test_hidden_dims_below_one_rejected(hidden_dims):
+    with pytest.raises(ValueError, match="hidden_dims"):
+        TrainConfig(hidden_dims=hidden_dims)
+
+
 def test_empty_hidden_dims_single_stage():
     model = init_model(TrainConfig(hidden_dims=[]), 12)
     assert model.layer_dims == [12, 2]

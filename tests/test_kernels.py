@@ -2,6 +2,7 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 
 from leaguewin import kernels, synth
 from leaguewin.baselines import forest as rf
@@ -9,7 +10,10 @@ from leaguewin.baselines import scope as sc
 
 
 def scalar_best_split(x, y, sample_idx, feat_idx, min_leaf):
-    """Reference Gini scan: one Python loop per candidate and threshold."""
+    """Reference Gini scan: one Python loop per candidate and threshold.
+
+    Returns (feature, threshold, gini, left_pos), as ``kernels.best_split``.
+    """
     m = len(sample_idx)
     best = (-1, 0.0, math.inf)
     total_pos = sum(int(y[i]) for i in sample_idx)
@@ -29,8 +33,68 @@ def scalar_best_split(x, y, sample_idx, feat_idx, min_leaf):
             g_r = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
             g = (n_left * g_l + n_right * g_r) / m
             if g < best[2]:
-                best = (int(f), 0.5 * (v_cur + v_next), g)
-    return best
+                threshold = 0.5 * (v_cur + v_next)
+                best = (int(f), threshold if v_cur <= threshold < v_next else v_cur, g)
+    feat, threshold, _ = best
+    left_pos = sum(int(y[i]) for i in sample_idx if feat >= 0 and x[i, feat] <= threshold)
+    return (*best, left_pos)
+
+
+def scalar_kernel(keys, values, sample_idx, feat_idx, min_leaf):
+    """``scalar_best_split`` behind the signature of ``kernels.best_split``.
+
+    Decodes the matrix and labels from ``kernels.split_keys`` output.
+    """
+    x = np.take_along_axis(values, keys >> 1, axis=1).T
+    return scalar_best_split(x, keys[0] & 1, sample_idx, feat_idx, min_leaf)
+
+
+def fast_kernel(x, y, sample_idx, feat_idx, min_leaf):
+    """``kernels.best_split`` on the matrix and labels the scalar scan takes."""
+    keys, values = kernels.split_keys(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64))
+    return kernels.best_split(keys, values, sample_idx, feat_idx, min_leaf)
+
+
+def reference_forest(x, y, n_trees, max_depth, min_leaf, seed):
+    """Trees grown by plain recursion over row lists with the scalar scan.
+
+    Draws from the generator as ``forest_train`` must: per tree one
+    bootstrap sample, then one permutation per scanned node in preorder.
+    Returns the trees and the number of scanned nodes.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = x.shape
+    n_candidates = max(1, math.isqrt(d))
+    trees, scans = [], 0
+
+    def grow(tree, rows, depth):
+        nonlocal scans
+        node = len(tree.feature)
+        n_pos = sum(int(y[i]) for i in rows)
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(n_pos / len(rows))
+        tree.count.append(len(rows))
+        if depth >= max_depth or len(rows) < 2 * min_leaf or n_pos in (0, len(rows)):
+            return node
+        scans += 1
+        feats = rng.permutation(d)[:n_candidates]
+        feat, threshold, _, _ = scalar_best_split(x, y, rows, feats, min_leaf)
+        if feat < 0:
+            return node
+        tree.feature[node] = feat
+        tree.threshold[node] = threshold
+        tree.left[node] = grow(tree, [i for i in rows if x[i, feat] <= threshold], depth + 1)
+        tree.right[node] = grow(tree, [i for i in rows if x[i, feat] > threshold], depth + 1)
+        return node
+
+    for _ in range(n_trees):
+        tree = rf.Tree()
+        grow(tree, sorted(rng.integers(0, n, size=n).tolist()), 0)
+        trees.append(tree)
+    return trees, scans
 
 
 def random_games(rng, n_games, n_teams):
@@ -116,8 +180,16 @@ def test_best_split_matches_scalar_scan():
         idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
         feats = rng.permutation(d)[: int(rng.integers(1, d + 1))].astype(np.int64)
         min_leaf = int(rng.choice([1, 2, 3, 5, 20]))
-        got = kernels.best_split(x, y, idx, feats, min_leaf)
+        got = fast_kernel(x, y, idx, feats, min_leaf)
         assert got == scalar_best_split(x, y, idx, feats, min_leaf), (trial, min_leaf)
+
+
+def test_split_keys_encode_value_rank_and_label():
+    x = np.array([[0.5, -2.0], [0.25, -2.0], [0.5, 7.0], [-1.0, -2.0]])
+    y = np.array([1, 0, 0, 1])
+    keys, values = kernels.split_keys(x, y)
+    assert keys.tolist() == [[2 * 2 + 1, 2 * 1, 2 * 2, 2 * 0 + 1], [2 * 0 + 1, 2 * 0, 2 * 1, 2 * 0 + 1]]
+    assert values.tolist() == [[-1.0, 0.25, 0.5, 0.0], [-2.0, 7.0, 0.0, 0.0]]
 
 
 def test_best_split_counts_more_than_127_positives():
@@ -129,8 +201,8 @@ def test_best_split_counts_more_than_127_positives():
     y = ((i >= 90) != (i % 11 == 0)).astype(np.int8)
     assert int(y.sum()) == 200
     args = (x, y, i.astype(np.int64), np.array([1, 0], dtype=np.int64), 1)
-    assert kernels.best_split(*args) == (0, 89.5, 0.16920634920634922)
-    assert kernels.best_split(*args) == scalar_best_split(*args)
+    assert fast_kernel(*args) == (0, 89.5, 0.16920634920634922, 9)
+    assert fast_kernel(*args) == scalar_best_split(*args)
 
 
 def test_best_split_respects_min_leaf():
@@ -138,19 +210,54 @@ def test_best_split_respects_min_leaf():
     y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
     idx = np.arange(10, dtype=np.int64)
     feats = np.zeros(1, dtype=np.int64)
-    feat, thresh, gini = kernels.best_split(x, y, idx, feats, 4)
+    feat, thresh, gini, left_pos = fast_kernel(x, y, idx, feats, 4)
     assert feat == 0
     # The perfect split at 4.5 is allowed (5 rows either side) and found.
-    assert thresh == 4.5 and gini == 0.0
-    feat6, _, _ = kernels.best_split(x, y, idx, feats, 6)
+    assert thresh == 4.5 and gini == 0.0 and left_pos == 0
+    feat6, _, _, _ = fast_kernel(x, y, idx, feats, 6)
     assert feat6 == -1  # no split can leave 6 rows on both sides
 
 
 def test_best_split_no_split_on_constant_feature():
     x = np.ones((8, 1))
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)
-    feat, _, _ = kernels.best_split(x, y, np.arange(8, dtype=np.int64), np.zeros(1, dtype=np.int64), 1)
+    feat, _, _, _ = fast_kernel(x, y, np.arange(8, dtype=np.int64), np.zeros(1, dtype=np.int64), 1)
     assert feat == -1
+
+
+@pytest.mark.parametrize(
+    "below, above, top",
+    [
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51, 2.0),  # the midpoint rounds up onto the upper value
+        (1.0e308, 1.5e308, 1.7e308),  # the sum overflows to inf
+        (-1.5e308, -1.0e308, -0.5e308),  # the sum overflows to -inf
+    ],
+    ids=["adjacent-doubles", "overflow-up", "overflow-down"],
+)
+def test_best_split_threshold_separates_the_two_values(below, above, top):
+    x = np.array([below, below, above, above, top]).reshape(-1, 1)
+    y = np.array([0, 0, 1, 1, 1], dtype=np.int8)
+    args = (x, y, np.arange(5, dtype=np.int64), np.zeros(1, dtype=np.int64), 1)
+    assert fast_kernel(*args) == (0, below, 0.0, 0)
+    assert scalar_best_split(*args) == (0, below, 0.0, 0)
+    trees = rf.forest_train(x, y, n_trees=3).trees
+    assert all(min(tree.count) >= 1 for tree in trees)  # no empty child
+    assert below in [tree.threshold[0] for tree in trees]
+
+
+def test_forests_match_reference_grower_tree_for_tree():
+    # Rounded features make ties (and both -0.0 and 0.0), the bootstrap
+    # repeats rows, and the root holds more than 127 positives, past an
+    # int8 counter.
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=(260, 9)), 1)
+    y = (x[:, 0] + x[:, 1] + rng.normal(size=260) > -0.3).astype(np.int8)
+    assert int(y.sum()) > 140
+    for seed, min_leaf, max_depth in product(range(5), (1, 3, 5), (3, 10)):
+        want, scans = reference_forest(x, y, 2, max_depth, min_leaf, seed)
+        got = rf.forest_train(x, y, n_trees=2, max_depth=max_depth, min_leaf=min_leaf, seed=seed).trees
+        assert repr(got) == repr(want), (seed, min_leaf, max_depth)
+        assert scans > 2 and max(tree.value[0] * tree.count[0] for tree in got) > 127
 
 
 def test_mov_multiplier_codes_match_named_functions():
@@ -191,7 +298,15 @@ def test_fallback_produces_same_forest_and_scope_results(monkeypatch):
 
     x, y, _ = rf.lookback_dataset([r for r in records if r.season == 2019], 2, "delta")
     fast = rf.forest_train(x, y, n_trees=10, seed=0)
-    monkeypatch.setattr(kernels, "best_split", scalar_best_split)
+    scalar_calls = []
+
+    def counted_scalar(*args):
+        scalar_calls.append(args[2].size)
+        return scalar_kernel(*args)
+
+    monkeypatch.setattr(kernels, "best_split", counted_scalar)
     slow = rf.forest_train(x, y, n_trees=10, seed=0)
-    assert fast.trees == slow.trees
+    want, scans = reference_forest(x, y, 10, 10, 1, 0)
+    assert repr(fast.trees) == repr(slow.trees) == repr(want)
+    assert len(scalar_calls) == scans > 10
     assert np.array_equal(rf.forest_predict_many(fast, x), [rf.forest_predict(slow, row) for row in x])
