@@ -1,7 +1,8 @@
 """Command-line entry point wiring ingestion, graphs, training, and baselines.
 
 Every run writes its outputs plus a manifest.json with input content hashes,
-the seed, and the tool version, so results can be replayed exactly.
+the seed, the tool version and the numeric environment, so results can be
+replayed exactly.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, experiment, gcn, synth
 from . import graph as lg
@@ -148,8 +151,22 @@ def _write_manifest(args, out_dir: Path, outputs: list[Path]) -> None:
         "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in outputs],
         "version": __version__,
+        "environment": _environment(),
     }
     _write_atomic(out_dir / "manifest.json", json.dumps(doc, indent=2))
+
+
+def _environment() -> dict:
+    """The versions output bytes can depend on, with no timestamp, so reruns
+    stay byte-identical.  model.json weights depend on the BLAS kernel
+    through the dense weight products."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
 
 
 def _load_json(path) -> dict:
@@ -292,7 +309,7 @@ def _cmd_train(args) -> None:
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "mode": mode,
         "plan": plan.to_dict(),
-        "feature_spec": {"mode": mode, "features": spec.categories},
+        "feature_spec": {"features": spec.categories},
         "standardization": {
             "mean": stats.mean.tolist(),
             "std": stats.std.tolist(),

@@ -173,8 +173,15 @@ def train_for_plan(
     convs = conv_layers_of(config)
     train_g, val_g, test_g, stats = prepare_split(records, plan, mode, convs, spec)
     model = gcn.init_model(config, train_g.features.values.shape[1])
-    best, report = gcn.train(model, train_g, val_g, config)
+    best, report = gcn.train(model, train_g, val_g, config, *split_propagators(config, train_g, val_g))
     return best, report, test_g, stats
+
+
+def split_propagators(
+    config: gcn.TrainConfig, train_g: lg.LeagueGraph, val_g: lg.LeagueGraph
+) -> list[lg.Propagator]:
+    """The train and validation graphs' propagators for ``config``'s model."""
+    return [gcn.build_propagator(g, config.propagator_kind, config.chebyshev_degree) for g in (train_g, val_g)]
 
 
 def run_cross_league(
@@ -252,9 +259,16 @@ def grid_search_gcn(
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
 
     rows = []
+    # A split's propagators depend only on the model kind and degree, so
+    # each (split, kind) pair builds them once, lambda_max included.
+    props = {}
     for config, dataset in cells:
         train_g, val_g, test_g, _ = splits[dataset, conv_layers_of(config)]
-        model, report = gcn.train(gcn.init_model(config, train_g.features.values.shape[1]), train_g, val_g, config)
+        key = (dataset, conv_layers_of(config), config.propagator_kind, config.chebyshev_degree)
+        if key not in props:
+            props[key] = split_propagators(config, train_g, val_g)
+        model = gcn.init_model(config, train_g.features.values.shape[1])
+        model, report = gcn.train(model, train_g, val_g, config, *props[key])
         rows.append(gcn_row(config, dataset, report))
         # Strictly greater: ties keep the first cell in enumeration order.
         if len(rows) == 1 or rows[-1].val_accuracy > winner.val_accuracy:

@@ -1,4 +1,4 @@
-"""Dense-algebra graph convolutional classifier with manual backprop.
+"""Sparse-propagation graph convolutional classifier with manual backprop.
 
 Layer rule: hidden stages compute relu(sum_k P_k X W_k) over the propagator
 basis (one matrix for the normalized adjacency, K+1 for a Chebyshev basis);
@@ -6,12 +6,13 @@ the final stage is a plain dense map to two logits, so the receptive field
 is exactly the number of convolution stages.  Dropout is applied to every
 stage input during training with inverted 1/(1-p) scaling.
 
-Only the products a result needs are formed.  A Chebyshev basis's T0 = I is
-applied as the identity, with no matrix.  ``train`` propagates each graph's
-features through the first stage once, and its dropout-off passes (the
-train-graph evaluation and the validation pass) reuse that every epoch.
-``backward`` stops at the first stage's weight gradients: nothing reads the
-gradient of the network input.
+Propagation multiplies by the propagator's own CSR matrices, and only the
+products a result needs are formed.  A Chebyshev basis's T0 = I is applied
+as the identity.  ``train`` takes both graphs' propagators, built once by
+the caller, and propagates each graph's features through the first stage
+once; its dropout-off passes (the train-graph evaluation and the validation
+pass) reuse that every epoch.  ``backward`` stops at the first stage's
+weight gradients: nothing reads the gradient of the network input.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import graph as lg
 
@@ -145,6 +147,8 @@ def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
     )
 
 
+# Nothing in the package calls this: propagation runs on the CSR matrices.
+# It stays while perfbench/spans.py looks it up by name to trace it.
 def dense_propagator(propagator: lg.Propagator | list[np.ndarray]) -> list[np.ndarray]:
     """Dense copies of the basis matrices the layer multiplies by.
 
@@ -159,18 +163,26 @@ def dense_propagator(propagator: lg.Propagator | list[np.ndarray]) -> list[np.nd
     return [np.asarray(m, dtype=np.float64) for m in propagator]
 
 
-def _apply_basis(model: GcnModel, mats: list[np.ndarray], hs: list[np.ndarray]) -> list[np.ndarray]:
+def _basis(model: GcnModel, propagator: lg.Propagator) -> list[sp.csr_matrix]:
+    """The CSR matrices the layer multiplies by: a Chebyshev basis gives
+    T1..TK, as its T0 = I is applied as the identity."""
+    if propagator.kind != model.propagator_kind:
+        raise ValueError(f"a {model.propagator_kind} model was given a {propagator.kind} propagator")
+    return propagator.matrices[1:] if propagator.kind == lg.CHEBYSHEV else propagator.matrices
+
+
+def _apply_basis(model: GcnModel, mats: list[sp.csr_matrix], hs: list[np.ndarray]) -> list[np.ndarray]:
     """[B_k @ hs[k]] over the model's basis; a Chebyshev T0 = I passes hs[0] through."""
     skip = 1 if model.propagator_kind == lg.CHEBYSHEV else 0
     if len(hs) != skip + len(mats):
-        raise ValueError(f"basis size mismatch: {len(mats)} dense matrices for {len(hs)} terms")
+        raise ValueError(f"basis size mismatch: {len(mats)} basis matrices for {len(hs)} terms")
     return hs[:skip] + [p @ h for p, h in zip(mats, hs[skip:])]
 
 
 def forward(
     model: GcnModel,
     x: np.ndarray,
-    propagator,
+    propagator: lg.Propagator,
     training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray | None] | None = None,
@@ -183,10 +195,10 @@ def forward(
     ``first_stage`` is the basis applied to ``x``, computed once by the
     caller; a pass without dropout reuses it for the first stage.
     """
-    mats = dense_propagator(propagator)
-    for p in mats:
-        if x.shape[0] != p.shape[0]:
-            raise ValueError(f"propagator is {p.shape[0]}x{p.shape[0]} but features have {x.shape[0]} rows")
+    mats = _basis(model, propagator)
+    n = propagator.matrices[0].shape[0]
+    if x.shape[0] != n:
+        raise ValueError(f"propagator is {n}x{n} but features have {x.shape[0]} rows")
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"model expects {model.layer_dims[0]} input features, got {x.shape[1]}"
@@ -318,11 +330,16 @@ def train(
     train_graph: lg.LeagueGraph,
     val_graph: lg.LeagueGraph,
     config: TrainConfig,
+    train_prop: lg.Propagator,
+    val_prop: lg.Propagator,
 ) -> tuple[GcnModel, TrainReport]:
     """Full-batch Adam with early stopping on validation accuracy.
 
     Returns the snapshot from the best-validation epoch.  Both graphs must
     already be labeled with the same offset as the model's convolution count.
+    ``train_prop`` and ``val_prop`` are their ``build_propagator`` results
+    for the model, so callers training many models on one split build them
+    once.
     """
     for name, g in (("train", train_graph), ("val", val_graph)):
         if g.features is None:
@@ -331,14 +348,12 @@ def train(
             raise ValueError(f"{name} graph has no labeled nodes")
 
     model = replace(model, weights=model.copy_weights())  # never mutate the caller's model
-    p_train = dense_propagator(build_propagator(train_graph, model.propagator_kind, model.chebyshev_degree))
-    p_val = dense_propagator(build_propagator(val_graph, model.propagator_kind, model.chebyshev_degree))
     x_train = np.asarray(train_graph.features.values, dtype=np.float64)
     x_val = np.asarray(val_graph.features.values, dtype=np.float64)
     # The dropout-off passes see the same first-stage input every epoch.
     k = n_basis(model.propagator_kind, model.chebyshev_degree)
-    first_train = _apply_basis(model, p_train, [x_train] * k)
-    first_val = _apply_basis(model, p_val, [x_val] * k)
+    first_train = _apply_basis(model, _basis(model, train_prop), [x_train] * k)
+    first_val = _apply_basis(model, _basis(model, val_prop), [x_val] * k)
 
     rng = np.random.default_rng(config.seed)
     m_state = [[np.zeros_like(w) for w in stage] for stage in model.weights]
@@ -350,7 +365,7 @@ def train(
     best_weights = model.copy_weights()
     stall = 0
     for epoch in range(1, config.max_epochs + 1):
-        logits, cache = forward(model, x_train, p_train, training=True, rng=rng)
+        logits, cache = forward(model, x_train, train_prop, training=True, rng=rng)
         loss = masked_loss(logits, train_graph.labels, train_graph.label_mask, config.weight_decay, model.weights)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
@@ -363,12 +378,12 @@ def train(
                 v_hat = v / (1 - beta2**epoch)
                 w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-        eval_logits, _ = forward(model, x_train, p_train, training=False, first_stage=first_train)
+        eval_logits, _ = forward(model, x_train, train_prop, training=False, first_stage=first_train)
         report.train_loss.append(
             masked_loss(eval_logits, train_graph.labels, train_graph.label_mask, config.weight_decay, model.weights)
         )
         report.train_acc.append(masked_accuracy(eval_logits, train_graph.labels, train_graph.label_mask))
-        val_logits, _ = forward(model, x_val, p_val, training=False, first_stage=first_val)
+        val_logits, _ = forward(model, x_val, val_prop, training=False, first_stage=first_val)
         report.val_loss.append(masked_loss(val_logits, val_graph.labels, val_graph.label_mask))
         report.val_acc.append(masked_accuracy(val_logits, val_graph.labels, val_graph.label_mask))
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from leaguewin.cli import cli_main
 
@@ -292,6 +295,45 @@ def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     assert len(lines) == 61
     probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert all(0.0 <= p <= 1.0 for p in probs)
+
+
+def test_bundle_holds_the_mode_once_and_predict_reads_it(season_csv, plan_json, tmp_path):
+    train_out = tmp_path / "train_out"
+    code = cli_main(
+        ["train", "--data", str(season_csv), "--plan", str(plan_json), "--mode", "raw", "--out", str(train_out)]
+    )
+    assert code == 0
+    text = (train_out / "model.json").read_text()
+    assert text.count('"mode"') == 1
+    bundle = json.loads(text)
+    assert bundle["mode"] == "raw"
+    assert set(bundle["feature_spec"]) == {"features"}
+
+    def predictions(name):
+        out = tmp_path / name
+        argv = ["predict", "--data", str(season_csv), "--model-file", str(train_out / "model.json"),
+                "--league", "CCC", "--season", "2020", "--out", str(out)]
+        assert cli_main(argv) == 0
+        return (out / "predictions.csv").read_bytes()
+
+    raw = predictions("raw")
+    bundle["mode"] = "delta"
+    (train_out / "model.json").write_text(json.dumps(bundle))
+    assert predictions("delta") != raw
+
+
+def test_manifest_environment_block_is_rerun_stable(season_csv, plan_json, tmp_path):
+    out = tmp_path / "train_out"
+    argv = ["train", "--data", str(season_csv), "--plan", str(plan_json), "--seed", "3", "--out", str(out)]
+    manifests = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    env = json.loads(manifests[0])["environment"]
+    assert env["python"] == platform.python_version()
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert set(env["blas"]) == {"name", "version"} and all(env["blas"].values())
 
 
 def test_train_is_byte_deterministic(season_csv, plan_json, tmp_path):

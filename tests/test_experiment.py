@@ -117,6 +117,25 @@ def test_grid_builds_each_distinct_split_once(monkeypatch):
     assert sorted(calls) == [("delta", 1), ("delta", 2), ("raw", 1), ("raw", 2)]
 
 
+def test_grid_builds_each_split_propagator_once(monkeypatch):
+    records = three_leagues(seed=100)
+    calls = []
+    real = gcn.build_propagator
+
+    def counting(g, kind, degree):
+        calls.append((id(g), kind))
+        return real(g, kind, degree)
+
+    monkeypatch.setattr(gcn, "build_propagator", counting)
+    grid = dict(EIGHT_CELLS, dropout=[0.1, 0.5])
+    report = grid_search_gcn(records, PLAN, grid, gcn.TrainConfig(seed=0, max_epochs=5))
+    assert len(report.rows) == 16
+    # 4 splits x 2 kinds, a train and a validation graph each, then the
+    # winner's test graph; no graph is built twice for one kind.
+    assert len(calls) == 2 * 8 + 1
+    assert len(set(calls)) == len(calls)
+
+
 def test_grid_cells_on_shared_splits_match_run_cross_league():
     # Cells that share a split must train exactly as if each built its own.
     records = three_leagues(seed=100)

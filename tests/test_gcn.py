@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from leaguewin import gcn, synth
 from leaguewin.gcn import (
@@ -35,6 +36,12 @@ def labeled_graph(n_teams=5, games_per_pair=2, seed=0, convolutions=1, mode="del
     )
     matrix = standardize(build_feature_matrix(records, FeatureSpec.default(), mode))
     return assign_labels(build_league_graph(records, features=matrix), convolutions)
+
+
+def train_on(model, g, g_val, config):
+    """gcn.train with both graphs' propagators built by build_propagator."""
+    props = [gcn.build_propagator(h, model.propagator_kind, model.chebyshev_degree) for h in (g, g_val)]
+    return train(model, g, g_val, config, *props)
 
 
 def test_init_deterministic_per_seed():
@@ -315,7 +322,7 @@ def test_train_zero_learning_rate_keeps_weights():
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], learning_rate=0.0, max_epochs=5, dropout=0.2, seed=0)
     model = init_model(config, g.features.values.shape[1])
-    best, _ = train(model, g, g_val, config)
+    best, _ = train_on(model, g, g_val, config)
     for sa, sb in zip(model.weights, best.weights):
         for wa, wb in zip(sa, sb):
             assert np.array_equal(wa, wb)
@@ -335,7 +342,7 @@ def test_train_separable_fixture_reaches_high_accuracy():
         propagator_kind="gcn-cheby", seed=0,
     )
     model = init_model(config, g.features.values.shape[1])
-    _, report = train(model, g, g_val, config)
+    _, report = train_on(model, g, g_val, config)
     assert max(report.train_acc) >= 0.95
 
 
@@ -354,7 +361,7 @@ def test_early_stop_patience_contract(monkeypatch):
     monkeypatch.setattr(gcn, "masked_accuracy", fake_accuracy)
     config = TrainConfig(hidden_dims=[4], early_stop_patience=1, max_epochs=50, dropout=0.0, seed=0)
     model = init_model(config, g.features.values.shape[1])
-    _, report = train(model, g, g_val, config)
+    _, report = train_on(model, g, g_val, config)
     assert report.epochs_run <= 2
     assert report.best_epoch == 1
 
@@ -366,7 +373,7 @@ def test_train_divergence_raises():
     model = init_model(config, g.features.values.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
-            train(model, g, g_val, config)
+            train_on(model, g, g_val, config)
 
 
 def _reference_forward(weights, mats, x, dropout, rng):
@@ -415,18 +422,20 @@ def _reference_backward(weights, mats, stages, logits, labels, label_mask, weigh
     return grads
 
 
-def _reference_basis(g, model):
+def _reference_basis(g, model, dense):
+    """The whole basis, T0 = I included as a sparse identity: the CSR
+    matrices themselves, or dense copies of them."""
     prop = gcn.build_propagator(g, model.propagator_kind, model.chebyshev_degree)
-    mats = [m.toarray() for m in prop.matrices]
+    mats = list(prop.matrices)
     if model.propagator_kind == CHEBYSHEV:
-        mats[0] = np.eye(g.n_nodes)
-    return mats
+        mats[0] = sp.identity(g.n_nodes, format="csr")
+    return [m.toarray() for m in mats] if dense else mats
 
 
-def _reference_train(model, g, g_val, config):
+def _reference_train(model, g, g_val, config, dense=False):
     """gcn.train done longhand: three full forwards an epoch and the stage-0 input gradient."""
     weights = model.copy_weights()
-    p_train, p_val = _reference_basis(g, model), _reference_basis(g_val, model)
+    p_train, p_val = _reference_basis(g, model, dense), _reference_basis(g_val, model, dense)
     x, x_val = g.features.values, g_val.features.values
     rng = np.random.default_rng(config.seed)
     m_state = [[np.zeros_like(w) for w in stage] for stage in weights]
@@ -470,12 +479,43 @@ def test_train_matches_every_product_reference(kind, degree, layers, dropout):
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
     model = init_model(config, g.features.values.shape[1])
-    best, report = train(model, g, g_val, config)
+    best, report = train_on(model, g, g_val, config)
     ref_weights, ref_report = _reference_train(model, g, g_val, config)
     assert report == ref_report
     for sa, sb in zip(best.weights, ref_weights):
         for wa, wb in zip(sa, sb):
             assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("kind,degree", [("gcn", 1), ("gcn-cheby", 1)])
+def test_train_agrees_with_dense_product_reference(kind, degree, layers):
+    # Sparse and dense products sum in different orders, so the weights may
+    # move in the last bits, but no accuracy or early-stopping decision may.
+    g = labeled_graph(seed=1, convolutions=layers)
+    g_val = labeled_graph(seed=2, convolutions=layers)
+    config = TrainConfig(
+        hidden_dims=[8] * layers, dropout=0.5, max_epochs=25, early_stop_patience=8,
+        propagator_kind=kind, chebyshev_degree=degree, seed=4,
+    )
+    model = init_model(config, g.features.values.shape[1])
+    best, report = train_on(model, g, g_val, config)
+    ref_weights, ref_report = _reference_train(model, g, g_val, config, dense=True)
+    assert (report.train_acc, report.val_acc, report.best_epoch) == (
+        ref_report.train_acc, ref_report.val_acc, ref_report.best_epoch
+    )
+    assert np.allclose(report.train_loss, ref_report.train_loss, rtol=1e-12, atol=0)
+    assert np.allclose(report.val_loss, ref_report.val_loss, rtol=1e-12, atol=0)
+    for sa, sb in zip(best.weights, ref_weights):
+        for wa, wb in zip(sa, sb):
+            assert np.abs(wa - wb).max() <= 1e-12 * np.abs(wb).max()
+
+
+def test_forward_rejects_a_propagator_of_another_kind():
+    g = labeled_graph(seed=1)
+    model = init_model(TrainConfig(hidden_dims=[4], propagator_kind="gcn-cheby"), g.features.values.shape[1])
+    with pytest.raises(ValueError, match="chebyshev model was given a normalized_adjacency propagator"):
+        forward(model, g.features.values, normalized_adjacency(g))
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -497,8 +537,8 @@ def test_train_report_is_deterministic():
     g = labeled_graph(seed=1)
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], dropout=0.3, max_epochs=20, seed=9)
-    r1 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
-    r2 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
+    r1 = train_on(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
+    r2 = train_on(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
     assert r1.train_loss == r2.train_loss
     assert r1.val_acc == r2.val_acc
     assert r1.best_epoch == r2.best_epoch
