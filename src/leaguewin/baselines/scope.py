@@ -74,10 +74,8 @@ class GameResult:
 @dataclass
 class ScopeEvalResult:
     accuracy: float
-    n_games: int
     correct: np.ndarray
     state: ScopeState
-    trace: list[tuple[str, float, float]]  # (game_id, team rating, opponent rating)
 
 
 def elo_expected(r_a: float, r_b: float) -> float:
@@ -169,14 +167,12 @@ def _lattice(configs: list[ScopeConfig]) -> _Lattice:
     )
 
 
-def _team_index(spans: list[list[GameResult]], known) -> dict[str, int]:
+def _team_index(spans: list[list[GameResult]]) -> dict[str, int]:
     teams: dict[str, int] = {}
     for games in spans:
         for g in games:
             for t in (g.team, g.opponent):
                 teams.setdefault(t, len(teams))
-    for t in known:
-        teams.setdefault(t, len(teams))
     return teams
 
 
@@ -186,7 +182,6 @@ def _lattice_pass(
     lattice: _Lattice,
     ratings: np.ndarray,
     score_from: int,
-    **outputs,
 ) -> np.ndarray:
     """Walk ``games`` once for every config; see ``kernels.scope_pass``."""
     team_idx = np.array([teams[g.team] for g in games], dtype=np.int64)
@@ -194,17 +189,8 @@ def _lattice_pass(
     team_won = np.array([1 if g.winner == g.team else 0 for g in games], dtype=np.uint8)
     mov = kernels.mov_table([g.kill_diff for g in games], lattice.mov_pairs)
     return kernels.scope_pass(
-        team_idx,
-        opp_idx,
-        team_won,
-        mov,
-        lattice.mov_group,
-        ratings,
-        lattice.base_k,
-        lattice.cutoff,
-        lattice.keep,
-        score_from,
-        **outputs,
+        team_idx, opp_idx, team_won, mov, lattice.mov_group, ratings,
+        lattice.base_k, lattice.cutoff, lattice.keep, score_from,
     )
 
 
@@ -213,42 +199,17 @@ def _lattice_regress(ratings: np.ndarray, lattice: _Lattice) -> np.ndarray:
     return ratings + lattice.regression * (lattice.initial - ratings)
 
 
-def _run_pass(
-    games: list[GameResult],
-    config: ScopeConfig,
-    state: ScopeState,
-    score_from: int,
-) -> ScopeEvalResult:
-    teams = _team_index([games], state.ratings)
-    ratings = np.full((len(teams), 1), config.initial_rating, dtype=np.float64)
-    for t, r in state.ratings.items():
-        ratings[teams[t], 0] = r
-    n = len(games)
-    correct = np.zeros((n, 1), dtype=np.uint8)
-    trace_team = np.zeros((n, 1), dtype=np.float64)
-    trace_opp = np.zeros((n, 1), dtype=np.float64)
-    n_correct = _lattice_pass(
-        games, teams, _lattice([config]), ratings, score_from,
-        correct_out=correct, trace_team=trace_team, trace_opp=trace_opp,
-    )
-    scored = n - score_from
-    new_state = ScopeState(ratings={t: float(ratings[i, 0]) for t, i in teams.items()})
-    return ScopeEvalResult(
-        accuracy=(float(n_correct[0]) / scored) if scored > 0 else float("nan"),
-        n_games=scored,
-        correct=correct[score_from:, 0],
-        state=new_state,
-        trace=[(g.game_id, float(trace_team[i, 0]), float(trace_opp[i, 0])) for i, g in enumerate(games)],
-    )
-
-
 def scope_advance(games: list[GameResult], config: ScopeConfig, state: ScopeState | None = None) -> ScopeState:
-    """Update ratings over a span without scoring it (initialization seasons)."""
+    """Update ratings over a span without scoring it (initialization seasons).
+
+    This and ``scope_evaluate`` walk one game at a time through
+    ``scope_update``: the scalar reference the lattice is tested against.
+    """
     if state is None:
         state = ScopeState()
-    if not games:
-        return state
-    return _run_pass(games, config, state, len(games)).state
+    for game in games:
+        state = scope_update(state, game, config)
+    return state
 
 
 def scope_evaluate(
@@ -256,7 +217,7 @@ def scope_evaluate(
     config: ScopeConfig,
     state: ScopeState | None = None,
 ) -> ScopeEvalResult:
-    """Predict-then-update over a chronological span; returns accuracy and trace.
+    """Predict-then-update over a chronological span; returns accuracy and hits.
 
     Prediction is the higher-rated team (expected score >= 0.5); exact
     ties go to the first-listed team.
@@ -265,7 +226,12 @@ def scope_evaluate(
         raise ValueError("empty test span")
     if state is None:
         state = ScopeState()
-    return _run_pass(games, config, state, 0)
+    correct = np.zeros(len(games), dtype=np.uint8)
+    for i, game in enumerate(games):
+        expected = elo_expected(state.rating(game.team, config), state.rating(game.opponent, config))
+        correct[i] = (expected >= 0.5) == (game.winner == game.team)
+        state = scope_update(state, game, config)
+    return ScopeEvalResult(accuracy=int(correct.sum()) / len(games), correct=correct, state=state)
 
 
 def default_scope_grid() -> dict[str, list]:
@@ -285,6 +251,28 @@ def grid_configs(grid: dict[str, list]) -> list[ScopeConfig]:
     return [ScopeConfig(**dict(zip(GRID_FIELDS, combo))) for combo in product(*axes)]
 
 
+def _search(spans: list[list[GameResult]], grid: dict[str, list] | None):
+    """``scope_grid_search``'s walk over ``spans[:2]``, with a rating row for
+    every team of ``spans``.  Returns the configs, the team index, the
+    ratings after validation, each config's validation accuracy and the
+    index of the best config.
+    """
+    init_games, val_games = spans[:2]
+    configs = grid_configs(default_scope_grid() if grid is None else grid)
+    if not configs:
+        raise ValueError("empty grid")
+    if not val_games:
+        raise ValueError("empty test span")
+    teams = _team_index(spans)
+    lattice = _lattice(configs)
+    ratings = np.tile(lattice.initial, (len(teams), 1))
+    _lattice_pass(init_games, teams, lattice, ratings, len(init_games))
+    ratings = _lattice_regress(ratings, lattice)
+    accs = [c / len(val_games) for c in _lattice_pass(val_games, teams, lattice, ratings, 0).tolist()]
+    best = max(range(len(configs)), key=lambda i: accs[i])  # ties -> lowest index
+    return configs, teams, ratings, accs, best
+
+
 def scope_grid_search(
     train_games: list[GameResult],
     val_games: list[GameResult],
@@ -297,23 +285,8 @@ def scope_grid_search(
     advance together, one pass over each span.  Ties keep the
     lexicographically first configuration (lattice enumeration order).
     """
-    if grid is None:
-        grid = default_scope_grid()
-    configs = grid_configs(grid)
-    if not configs:
-        raise ValueError("empty grid")
-    if not val_games:
-        raise ValueError("empty test span")
-    lattice = _lattice(configs)
-    teams = _team_index([train_games, val_games], ())
-    ratings = np.tile(lattice.initial, (len(teams), 1))
-    _lattice_pass(train_games, teams, lattice, ratings, len(train_games))
-    ratings = _lattice_regress(ratings, lattice)
-    n_correct = _lattice_pass(val_games, teams, lattice, ratings, 0)
-    accs = [c / len(val_games) for c in n_correct.tolist()]
-    table = list(zip(configs, accs))
-    best = max(range(len(configs)), key=lambda i: accs[i])  # ties -> lowest index
-    return configs[best], table
+    configs, _, _, accs, best = _search([train_games, val_games], grid)
+    return configs[best], list(zip(configs, accs))
 
 
 @dataclass
@@ -330,18 +303,22 @@ def scope_protocol(
     test_games: list[GameResult],
     grid: dict[str, list] | None = None,
 ) -> ScopeProtocolResult:
-    """Three-season protocol: initialize, grid-search on validation, score test."""
-    best, table = scope_grid_search(init_games, val_games, grid)
-    state = scope_advance(init_games, best)
-    state = scope_season_regress(state, best)
-    val_result = scope_evaluate(val_games, best, state)
-    state = scope_season_regress(val_result.state, best)
-    test_result = scope_evaluate(test_games, best, state)
+    """Three-season protocol: initialize, grid-search on validation, score test.
+
+    One lattice walks the first two seasons for every config; only the
+    winner's column, regressed again, walks the test season.
+    """
+    if not test_games:
+        raise ValueError("empty test span")
+    configs, teams, ratings, accs, best = _search([init_games, val_games, test_games], grid)
+    column = _lattice([configs[best]])
+    ratings = _lattice_regress(ratings[:, best : best + 1], column)
+    n_correct = _lattice_pass(test_games, teams, column, ratings, 0)
     return ScopeProtocolResult(
-        best_config=best,
-        validation_accuracy=val_result.accuracy,
-        test_accuracy=test_result.accuracy,
-        table=table,
+        best_config=configs[best],
+        validation_accuracy=accs[best],
+        test_accuracy=int(n_correct[0]) / len(test_games),
+        table=list(zip(configs, accs)),
     )
 
 
@@ -350,8 +327,15 @@ def config_to_dict(config: ScopeConfig) -> dict:
 
 
 def grid_from_json(text: str) -> dict[str, list]:
+    """An object of lattice field -> list of values: strings for ``mov_func``, numbers otherwise."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a SCOPE grid must be a JSON object of field -> list, got {json.dumps(doc)}")
     unknown = set(doc) - set(GRID_FIELDS)
     if unknown:
         raise ValueError(f"unknown grid fields: {sorted(unknown)}")
-    return {k: list(v) for k, v in doc.items()}
+    for key, values in doc.items():
+        kind, expected = (str, "strings") if key == "mov_func" else ((int, float), "numbers")
+        if not (isinstance(values, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)):
+            raise ValueError(f"grid field {key!r} must be a list of {expected}, got {json.dumps(values)}")
+    return doc

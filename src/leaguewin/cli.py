@@ -13,7 +13,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +188,7 @@ def _object_of(value, kind: type) -> bool:
 # What a --config file may hold for the commands that build features or
 # train, with the JSON value each key takes: a feature set, TrainConfig
 # fields and grid-search's grid (null selects the default feature set or
-# grid).  simulate and baseline-scope read configs of their own.
+# grid).  simulate reads SYNTH_TYPES, and baseline-scope reads a SCOPE grid.
 CONFIG_TYPES = {
     "features": ("an object of feature name -> category", lambda v: v is None or _object_of(v, str)),
     "grid": ("an object of lists", lambda v: v is None or _object_of(v, list)),
@@ -204,19 +204,35 @@ CONFIG_TYPES = {
 }
 
 
-def _config(args) -> dict:
-    """The --config JSON object, {} without one; exits 1 on a key nothing
-    reads or a value of the wrong JSON type."""
+# simulate's --config: each SynthConfig field takes the JSON value of its
+# annotation, and "leagues" names the leagues to draw.
+_ANNOTATED = {
+    "int": ("an integer", _integer),
+    "float": ("a number", _number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "dict[str, float]": ("an object of name -> number", lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+}
+SYNTH_TYPES = {f.name: _ANNOTATED[f.type] for f in fields(synth.SynthConfig)} | {
+    "leagues": (
+        "a list of distinct non-empty strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) and x for x in v) and len(set(v)) == len(v),
+    ),
+}
+
+
+def _config(args, types: dict = CONFIG_TYPES) -> dict:
+    """The --config JSON object, {} without one; exits 1 on a key not in
+    ``types`` or a value of the wrong JSON type."""
     if not args.config:
         return {}
     doc = _load_json(args.config)
     if not isinstance(doc, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(set(doc) - set(CONFIG_TYPES))
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ValueError(f"unknown config keys in {args.config}: {unknown}")
     for key, value in doc.items():
-        expected, check = CONFIG_TYPES[key]
+        expected, check = types[key]
         if not check(value):
             raise ValueError(f"config key {key!r} in {args.config} must be {expected}, got {json.dumps(value)}")
     return doc
@@ -232,7 +248,7 @@ def _records(args, spec: FeatureSpec | None = None, report: QualityReport | None
 
 
 def _cmd_simulate(args) -> None:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _config(args, SYNTH_TYPES)
     leagues = doc.pop("leagues", None)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -294,7 +310,10 @@ def _train_config(args, doc: dict) -> gcn.TrainConfig:
 
 
 def _plan(args) -> experiment.SplitPlan:
-    return experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    try:
+        return experiment.SplitPlan.from_json(Path(args.plan).read_text("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"plan {args.plan}: {exc}") from None
 
 
 def _cmd_train(args) -> None:

@@ -39,6 +39,11 @@ class SplitPlan:
     @classmethod
     def from_json(cls, text: str) -> "SplitPlan":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a split plan must be a JSON object, got {json.dumps(doc)}")
+        missing = [f for f in cls.__dataclass_fields__ if f not in doc]
+        if missing:
+            raise ValueError(f"split plan lacks {missing}")
         return cls(
             train_league=doc["train_league"],
             val_league=doc["val_league"],

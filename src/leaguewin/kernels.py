@@ -63,9 +63,6 @@ def scope_pass(
     cutoff,
     keep,
     score_from,
-    correct_out=None,
-    trace_team=None,
-    trace_opp=None,
 ):
     """One chronological Elo pass for many configurations at once.
 
@@ -74,9 +71,7 @@ def scope_pass(
     side rated above ``cutoff[c]``, and the MoV multiplier
     ``mov[game, mov_group[c]]``.  Games at index >= score_from are scored
     (predict before update): the pick is the first-listed team when its
-    expected score is >= 0.5, so exact ties go to it.  The optional
-    ``(n_games, n_configs)`` outputs receive each game's hits and
-    post-update ratings.
+    expected score is >= 0.5, so exact ties go to it.
 
     Returns the number of correct predictions per configuration.
     """
@@ -91,10 +86,7 @@ def scope_pass(
         expected_t = 1.0 / (1.0 + np.float_power(10.0, (r_o - r_t) / 400.0))
         won = team_won[i] == 1
         if i >= score_from:
-            hit = (expected_t >= 0.5) == won
-            n_correct += hit
-            if correct_out is not None:
-                correct_out[i] = hit
+            n_correct += (expected_t >= 0.5) == won
         k = base_k * mov[i][mov_group]
         k_t = k * np.where(r_t > cutoff, keep, 1.0)
         k_o = k * np.where(r_o > cutoff, keep, 1.0)
@@ -103,9 +95,6 @@ def scope_pass(
         new_o = r_o + k_o * ((1.0 - outcome_t) - (1.0 - expected_t))
         ratings[t] = new_t
         ratings[o] = new_o
-        if trace_team is not None:
-            trace_team[i] = new_t
-            trace_opp[i] = new_o
     return n_correct
 
 

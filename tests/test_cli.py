@@ -128,7 +128,67 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
     config.write_text(json.dumps({"n_teams": 4, "bogus": 1}))
     out = tmp_path / "season.csv"
     assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-    assert "error: unknown synth config keys: ['bogus']" in capsys.readouterr().err
+    assert f"error: unknown config keys in {config}: ['bogus']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"leagues": "AAA"}, "config key 'leagues' in {config} must be a list of distinct non-empty strings"),
+        ({"leagues": ["AAA", "AAA"]}, "config key 'leagues' in {config} must be a list of distinct"),
+        ({"leagues": ["AAA", ""]}, "config key 'leagues' in {config} must be a list of distinct"),
+        ({"n_teams": "ten"}, "config key 'n_teams' in {config} must be an integer, got \"ten\""),
+        ({"latent_skill_std": True}, "config key 'latent_skill_std' in {config} must be a number"),
+        ({"feature_signal_map": {"kills": "x"}}, "config key 'feature_signal_map' in {config} must be an object of name -> number"),
+        ([1], "config {config} must hold a JSON object"),
+    ],
+    ids=["leagues-string", "leagues-repeated", "leagues-empty-name", "n-teams-string", "std-bool", "signal-map-string", "list"],
+)
+def test_simulate_bad_config_value_exits_1(doc, message, tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "season.csv"
+    assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: {message.format(config=config)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"base_k": 5}, "grid field 'base_k' must be a list of numbers, got 5"),
+        ({"base_k": ["a"]}, "grid field 'base_k' must be a list of numbers, got [\"a\"]"),
+        ({"cutoff": [1700, False]}, "grid field 'cutoff' must be a list of numbers"),
+        ({"mov_func": [1]}, "grid field 'mov_func' must be a list of strings, got [1]"),
+        ([1], "a SCOPE grid must be a JSON object of field -> list, got [1]"),
+    ],
+    ids=["int", "string-entry", "bool-entry", "mov-func-number", "list"],
+)
+def test_baseline_scope_wrong_typed_grid_exits_1(doc, message, season_csv, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = ["baseline-scope", "--data", str(season_csv), "--league", "CCC", "--season", "2020"]
+    assert cli_main([*argv, "--config", str(grid), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "a split plan must be a JSON object, got [1]"),
+        ({"train_league": "AAA", "val_league": "BBB", "test_league": "CCC"}, "split plan lacks ['season']"),
+    ],
+    ids=["list", "no-season"],
+)
+def test_bad_plan_file_exits_1_naming_it(doc, message, season_csv, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli_main(["baseline-forest", "--data", str(season_csv), "--plan", str(plan), "--out", str(out)]) == 1
+    assert f"error: plan {plan}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -153,20 +153,6 @@ def test_scope_pass_matches_scalar_updates_all_mov_kinds():
         assert [ratings[i, c] for i in range(8)] == [state.rating(t, cfg) for t in teams], cfg
 
 
-def test_scope_pass_records_hits_and_trace_for_one_config():
-    rng = np.random.default_rng(1)
-    games = random_games(rng, 60, 5)
-    cfg = sc.ScopeConfig(base_k=32.0, cutoff=1510.0, reduction=0.25, mov_func="sqrt", w90=12.0)
-    result = sc.scope_evaluate(games, cfg)
-    state = sc.ScopeState()
-    for i, g in enumerate(games):
-        expected = sc.elo_expected(state.rating(g.team, cfg), state.rating(g.opponent, cfg))
-        assert result.correct[i] == ((expected >= 0.5) == (g.winner == g.team))
-        state = sc.scope_update(state, g, cfg)
-        assert result.trace[i] == (g.game_id, state.ratings[g.team], state.ratings[g.opponent])
-    assert result.state.ratings == state.ratings
-
-
 def test_best_split_matches_scalar_scan():
     rng = np.random.default_rng(2)
     for trial in range(200):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leaguewin import synth
+from leaguewin import kernels, synth
 from leaguewin.baselines.scope import (
     GameResult,
     ScopeConfig,
@@ -11,6 +11,7 @@ from leaguewin.baselines.scope import (
     games_from_records,
     grid_configs,
     mov_multiplier,
+    scope_advance,
     scope_evaluate,
     scope_grid_search,
     scope_protocol,
@@ -243,8 +244,41 @@ def test_protocol_runs_and_scores_test_season():
     assert len(result.table) == 8
 
 
+def test_protocol_walks_one_lattice_and_matches_the_scalar_chain(monkeypatch):
+    # Every config runs initialization and validation on one lattice, and
+    # only the winner's column walks the test season, where a team plays
+    # that no earlier season saw.  Each figure equals the scalar chain's.
+    records = synth.generate_league(
+        synth.SynthConfig(n_teams=8, games_per_pair=3, seasons=3, first_season=2018, seed=11, latent_skill_std=1.0)
+    )
+    spans = [games_from_records([r for r in records if r.season == s]) for s in (2018, 2019, 2020)]
+    veterans = sorted({game.team for game in spans[0]})
+    spans[2] += [
+        g("ROOKIE", veterans[i % 3], "ROOKIE" if i % 2 else veterans[i % 3], 4 * i + 1, f"rookie{i}") for i in range(6)
+    ]
+    grid = {"base_k": [10, 40], "cutoff": [1500, 1560], "reduction": [0.3], "mov_func": ["none", "lin", "exp", "log", "sqrt"], "w90": [8], "regression": [0.25, 0.5]}
+    calls = []
+    scope_pass = kernels.scope_pass
+    monkeypatch.setattr(kernels, "scope_pass", lambda *args, **kw: calls.append(1) or scope_pass(*args, **kw))
+    result = scope_protocol(*spans, grid=grid)
+    assert len(calls) == 3
+
+    def validated(cfg):
+        return scope_evaluate(spans[1], cfg, scope_season_regress(scope_advance(spans[0], cfg), cfg))
+
+    assert [cfg for cfg, _ in result.table] == grid_configs(grid)
+    for cfg, acc in result.table:
+        assert acc == validated(cfg).accuracy, cfg
+    accs = [acc for _, acc in result.table]
+    assert result.best_config == result.table[accs.index(max(accs))][0]
+    val = validated(result.best_config)
+    test = scope_evaluate(spans[2], result.best_config, scope_season_regress(val.state, result.best_config))
+    assert result.validation_accuracy == val.accuracy
+    assert result.test_accuracy == test.accuracy
+
+
 def test_kernel_pass_matches_per_game_updates():
-    # scope_evaluate's batched kernel and the single-game op agree exactly.
+    # The scalar reference threads its state through the single-game op exactly.
     cfg = ScopeConfig(base_k=40.0, cutoff=1550.0, reduction=0.4, mov_func="exp", w90=30.0)
     games = [
         g("A", "B", "A", 12, "g0"),
@@ -255,9 +289,8 @@ def test_kernel_pass_matches_per_game_updates():
     state = ScopeState()
     for game_ in games:
         state = scope_update(state, game_, cfg)
-    result = scope_evaluate(games, cfg)
-    for team, rating in state.ratings.items():
-        assert result.state.ratings[team] == pytest.approx(rating, abs=1e-9)
+    assert scope_evaluate(games, cfg).state.ratings == state.ratings
+    assert scope_advance(games, cfg).ratings == state.ratings
 
 
 def test_regression_bounds_validated():
