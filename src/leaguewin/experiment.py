@@ -44,12 +44,12 @@ class SplitPlan:
         missing = [f for f in cls.__dataclass_fields__ if f not in doc]
         if missing:
             raise ValueError(f"split plan lacks {missing}")
-        return cls(
-            train_league=doc["train_league"],
-            val_league=doc["val_league"],
-            test_league=doc["test_league"],
-            season=int(doc["season"]),
-        )
+        for key in ("train_league", "val_league", "test_league"):
+            if not isinstance(doc[key], str) or not doc[key]:
+                raise ValueError(f"split plan field {key!r} must be a non-empty string, got {json.dumps(doc[key])}")
+        if not isinstance(doc["season"], int) or isinstance(doc["season"], bool):
+            raise ValueError(f"split plan field 'season' must be an integer, got {json.dumps(doc['season'])}")
+        return cls(doc["train_league"], doc["val_league"], doc["test_league"], doc["season"])
 
     def to_dict(self) -> dict:
         return {

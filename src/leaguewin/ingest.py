@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -89,7 +91,7 @@ class TeamGameRecord:
     won: bool
     kills: int
     opponent_kills: int
-    features: dict[str, float]
+    features: np.ndarray  # one value per name of the record's FeatureSpec, in its order; NaN if blank
     is_regular_season: bool = True
 
 
@@ -189,52 +191,73 @@ def parse_match_csv(
         spec = FeatureSpec.default()
     if report is None:
         report = QualityReport()
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: no header row") from None
+    rows = _csv_rows(data)
+    header = next(rows, None)
+    if header is None:
+        raise SchemaError("empty input: no header row")
     col = {name: i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in col]
     missing += [c for c in spec.names if c not in col]
     if missing:
         raise SchemaError(f"missing required columns: {sorted(set(missing))}")
     flag_idx = col.get("is_regular_season")
+    feature_idx = [col[n] for n in spec.names]
+    # itemgetter returns a bare cell, not a tuple, for a single index.
+    take = operator.itemgetter(*feature_idx) if len(feature_idx) > 1 else lambda row: [row[i] for i in feature_idx]
+    values = array.array("d")  # every record's features, row after row
 
     records: list[TeamGameRecord] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         report.rows_read += 1
+        start = len(values)
         try:
-            records.append(
-                TeamGameRecord(
-                    game_id=row[col["gameid"]].strip(),
-                    league=row[col["league"]].strip(),
-                    season=int(row[col["season"]]),
-                    game_index_in_season=-1,
-                    team=row[col["team"]].strip(),
-                    opponent=row[col["opponent"]].strip(),
-                    timestamp=_parse_timestamp(row[col["date"]]),
-                    won=_parse_bool(row[col["result"]], "result"),
-                    kills=_parse_count(row[col["kills"]], "kills"),
-                    opponent_kills=_parse_count(row[col["opponent_kills"]], "opponent_kills"),
-                    features={n: _parse_feature(row[col[n]]) for n in spec.names},
-                    is_regular_season=(
-                        _parse_bool(row[flag_idx], "is_regular_season")
-                        if flag_idx is not None and row[flag_idx].strip()
-                        else True
-                    ),
-                )
+            record = TeamGameRecord(
+                game_id=row[col["gameid"]].strip(),
+                league=row[col["league"]].strip(),
+                season=int(row[col["season"]]),
+                game_index_in_season=-1,
+                team=row[col["team"]].strip(),
+                opponent=row[col["opponent"]].strip(),
+                timestamp=_parse_timestamp(row[col["date"]]),
+                won=_parse_bool(row[col["result"]], "result"),
+                kills=_parse_count(row[col["kills"]], "kills"),
+                opponent_kills=_parse_count(row[col["opponent_kills"]], "opponent_kills"),
+                features=None,  # a row of the matrix built below
             )
+            try:
+                values.extend(map(float, take(row)))
+            except (ValueError, IndexError):  # blank (NaN) or bad cells: redo cell by cell, in field order
+                del values[start:]
+                values.extend([_parse_feature(row[i]) for i in feature_idx])
+            if flag_idx is not None and row[flag_idx].strip():
+                record.is_regular_season = _parse_bool(row[flag_idx], "is_regular_season")
         except (ValueError, IndexError) as exc:
+            del values[start:]
             report.row_errors.append((line_no, str(exc)))
+            continue
+        records.append(record)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(records), len(spec.names))
+    for record, x in zip(records, matrix):
+        record.features = x
 
     _validate_pairs(records)
     records.sort(key=record_sort_key)
     _assign_game_indices(records)
     report.records_parsed = len(records)
     return records
+
+
+def _csv_rows(data: bytes):
+    """CSV rows of ``data``, decoded one line at a time; lines end at ``\\n`` only."""
+    reader = csv.reader(line.decode("utf-8") for line in io.BytesIO(data))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MatchLogError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised before the reader counts the line
+        raise MatchLogError(f"line {reader.line_num + 1}: {exc}") from None
 
 
 def _parse_count(raw: str, column: str) -> int:
@@ -323,9 +346,11 @@ def build_feature_matrix(
     if report is None:
         report = QualityReport()
     ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
-    raw = np.array(
-        [[r.features[name] for name in spec.names] for r in ordered], dtype=np.float64
-    )
+    d = len(spec.names)
+    widths = {len(r.features) for r in ordered} - {d}
+    if widths:
+        raise ValueError(f"record feature width {min(widths)} differs from the spec's {d} names")
+    raw = np.array([r.features for r in ordered], dtype=np.float64).reshape(len(ordered), d)
     if raw.size:
         _impute_columns(raw, spec.names, report)
     if mode == "delta":

@@ -19,6 +19,9 @@ import numpy as np
 from .ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, TeamGameRecord
 
 
+_COLUMN = {n: j for j, n in enumerate(DEFAULT_FEATURES)}
+
+
 def default_signal_map() -> dict[str, float]:
     # Uniform unit coefficients; tests override per-feature strengths.
     return {name: 1.0 for name in DEFAULT_FEATURES}
@@ -91,6 +94,9 @@ def generate_league(config: SynthConfig) -> list[TeamGameRecord]:
     skills = rng.normal(0.0, config.latent_skill_std, size=config.n_teams)
     names = list(config.feature_signal_map)
     coefs = np.array([config.feature_signal_map[n] for n in names])
+    # Draw drawn[m] lands in column slots[m] of a DEFAULT_FEATURES row; names outside it are dropped.
+    drawn = np.array([k for k, n in enumerate(names) if n in _COLUMN], dtype=np.intp)
+    layout = (drawn, np.array([_COLUMN[names[k]] for k in drawn], dtype=np.intp))
 
     records: list[TeamGameRecord] = []
     for season_offset in range(config.seasons):
@@ -115,8 +121,8 @@ def generate_league(config: SynthConfig) -> list[TeamGameRecord]:
                         skills,
                         i,
                         j,
-                        names,
                         coefs,
+                        layout,
                     )
                 )
                 game_no += 1
@@ -124,26 +130,28 @@ def generate_league(config: SynthConfig) -> list[TeamGameRecord]:
     return records
 
 
-def _simulate_game(rng, config, season, game_no, ts, teams, skills, i, j, names, coefs):
+def _simulate_game(rng, config, season, game_no, ts, teams, skills, i, j, coefs, layout):
     gap = skills[i] - skills[j]
     won_i = bool(rng.random() < _sigmoid(gap))
     kills = {}
     for side, sign, won in ((i, 1.0, won_i), (j, -1.0, not won_i)):
         mean = 11.0 + 1.8 * sign * gap + (2.5 if won else -2.5)
         kills[side] = max(0, int(round(mean + rng.normal(0.0, 1.5))))
-    shared = rng.normal(0.0, config.shared_noise_std, size=len(names)) if config.shared_noise_std else None
+    shared = rng.normal(0.0, config.shared_noise_std, size=len(coefs)) if config.shared_noise_std else None
     game_id = f"{config.league}-{season}-{game_no:04d}"
+    drawn, slots = layout
     out = []
     for side, opp, sign, won in ((i, j, 1.0, won_i), (j, i, -1.0, not won_i)):
         signal = sign * gap + (1.0 if won else -1.0)
-        vals = coefs * signal + rng.normal(0.0, config.feature_noise_std, size=len(names))
+        vals = coefs * signal + rng.normal(0.0, config.feature_noise_std, size=len(coefs))
         if shared is not None:
             vals = vals + shared
-        features = dict(zip(names, vals.tolist()))
-        if "kills" in features:
-            features["kills"] = float(kills[side])
-        if "deaths" in features:
-            features["deaths"] = float(kills[opp])
+        features = np.full(len(DEFAULT_FEATURES), np.nan)
+        features[slots] = vals[drawn]
+        if "kills" in config.feature_signal_map:
+            features[_COLUMN["kills"]] = kills[side]
+        if "deaths" in config.feature_signal_map:
+            features[_COLUMN["deaths"]] = kills[opp]
         out.append(
             TeamGameRecord(
                 game_id=game_id,
@@ -180,12 +188,13 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
 
     Feature names that collide with identifier columns (``kills``) are
     written once, from the identifier; floats use repr so values survive
-    the trip unchanged.
+    the trip unchanged.  Features are read in ``spec``'s order, the order
+    parsing with ``spec`` (or generating, for the default spec) leaves.
     """
     if spec is None:
         spec = FeatureSpec.default()
-    feature_cols = [n for n in spec.names if n not in REQUIRED_COLUMNS]
-    header = list(REQUIRED_COLUMNS) + ["is_regular_season"] + feature_cols
+    feature_cols = [j for j, n in enumerate(spec.names) if n not in REQUIRED_COLUMNS]
+    header = list(REQUIRED_COLUMNS) + ["is_regular_season"] + [spec.names[j] for j in feature_cols]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -202,8 +211,7 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
             str(r.opponent_kills),
             "1" if r.is_regular_season else "0",
         ]
-        for name in feature_cols:
-            v = r.features.get(name, float("nan"))
-            row.append("" if math.isnan(v) else repr(float(v)))
+        values = r.features.tolist()
+        row += ["" if math.isnan(v) else repr(v) for v in map(values.__getitem__, feature_cols)]
         writer.writerow(row)
     return buf.getvalue().encode("utf-8")

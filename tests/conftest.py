@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from leaguewin import synth
@@ -36,3 +39,18 @@ def minimal_row(gameid, team, opponent, result, kills, opp_kills, league="LPL", 
     n_features = len([n for n in FeatureSpec.default().names if n != "kills"])
     feats = ",".join(["1.0"] * n_features)
     return f"{gameid},{league},{season},{date},{team},{opponent},{result},{kills},{opp_kills},{feats}"
+
+
+def assert_same_records(got, want):
+    """Field-by-field record equality; features compare as arrays, NaN equal to NaN.
+
+    ``==`` on records cannot be used: dataclass equality on ndarray fields raises.
+    """
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "features":
+                assert np.array_equal(x, y, equal_nan=True), (a.team, a.game_id)
+            else:
+                assert x == y, (f.name, a.team, a.game_id)

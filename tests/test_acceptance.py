@@ -118,7 +118,7 @@ def _ten_node_graph():
     rng = np.random.default_rng(17)
     names = ["f0", "f1", "f2", "f3"]
     for r in records:
-        r.features = {n: float(v) for n, v in zip(names, rng.normal(size=4))}
+        r.features = rng.normal(size=4)
     spec = FeatureSpec(names, {n: "objectives" for n in names})
     matrix = standardize(build_feature_matrix(records, spec, "delta"))
     return build_league_graph(records, features=matrix)

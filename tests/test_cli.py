@@ -54,6 +54,24 @@ def test_missing_data_file_exits_1(tmp_path, plan_json, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, damage, message",
+    [
+        (3, lambda b: b.replace(b",", b",\r", 1), "line 3: new-line character seen in unquoted field"),
+        (4, lambda b: b.replace(b"AAA", b"A\xffA", 1), "line 4: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["lone-cr", "bad-utf8"],
+)
+def test_malformed_csv_line_exits_1_naming_it(line, damage, message, season_csv, tmp_path, capsys):
+    lines = season_csv.read_bytes().split(b"\n")
+    lines[line - 1] = damage(lines[line - 1])
+    season_csv.write_bytes(b"\n".join(lines))
+    out = tmp_path / "o"
+    assert cli_main(["ingest", "--data", str(season_csv), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_league_exits_1(season_csv, tmp_path, capsys):
     plan = tmp_path / "badplan.json"
     plan.write_text(json.dumps({"train_league": "AAA", "val_league": "BBB", "test_league": "ZZZ", "season": 2020}))
@@ -175,13 +193,21 @@ def test_baseline_scope_wrong_typed_grid_exits_1(doc, message, season_csv, tmp_p
     assert not out.exists()
 
 
+_PLAN = {"train_league": "AAA", "val_league": "BBB", "test_league": "CCC", "season": 2020}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
         ([1], "a split plan must be a JSON object, got [1]"),
         ({"train_league": "AAA", "val_league": "BBB", "test_league": "CCC"}, "split plan lacks ['season']"),
+        (_PLAN | {"season": [2020]}, "split plan field 'season' must be an integer, got [2020]"),
+        (_PLAN | {"season": 2020.9}, "split plan field 'season' must be an integer, got 2020.9"),
+        (_PLAN | {"season": True}, "split plan field 'season' must be an integer, got true"),
+        (_PLAN | {"train_league": 5}, "split plan field 'train_league' must be a non-empty string, got 5"),
+        (_PLAN | {"test_league": ""}, "split plan field 'test_league' must be a non-empty string, got \"\""),
     ],
-    ids=["list", "no-season"],
+    ids=["list", "no-season", "season-list", "season-float", "season-bool", "league-int", "league-empty"],
 )
 def test_bad_plan_file_exits_1_naming_it(doc, message, season_csv, tmp_path, capsys):
     plan = tmp_path / "plan.json"

@@ -41,7 +41,7 @@ def test_lookback_row_count_formula(medium_season):
 def test_lookback_constant_features_average_to_constant():
     records = [r for r in synth.generate_league(synth.SynthConfig(n_teams=2, games_per_pair=6, seed=0))]
     for r in records:
-        r.features = {"towers": 3.5}
+        r.features = np.array([3.5])
     spec = FeatureSpec(["towers"], {"towers": "objectives"})
     x, y, keys = lookback_dataset(records, 3, "raw", spec)
     assert np.allclose(x, 3.5)

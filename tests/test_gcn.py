@@ -268,7 +268,7 @@ def test_mask_isolation_outside_receptive_field():
         records += game(f"g{i}", "A", "B", i % 2 == 0, t0 + timedelta(days=i))
     rng = np.random.default_rng(0)
     for r in records:
-        r.features = {"towers": float(rng.normal())}
+        r.features = np.array([rng.normal()])
     spec = FeatureSpec(["towers"], {"towers": "objectives"})
     matrix = standardize(build_feature_matrix(records, spec, "delta"))
     g = assign_labels(build_league_graph(records, features=matrix), 1)

@@ -27,7 +27,7 @@ UTC = timezone.utc
 def rec(game_id, team, opponent, won, ts, league="LPL", season=2020):
     return TeamGameRecord(
         game_id, league, season, 0, team, opponent, ts, won, 10 if won else 5,
-        5 if won else 10, {"towers": 1.0},
+        5 if won else 10, np.array([1.0]),  # spec ["towers"]
     )
 
 

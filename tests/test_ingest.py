@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_csv, minimal_row
+from conftest import assert_same_records, make_csv, minimal_row
 from leaguewin import synth
 from leaguewin.ingest import (
+    DEFAULT_FEATURES,
     ColumnStats,
     FeatureSpec,
     PairingError,
@@ -94,14 +96,53 @@ def test_round_trip_through_emitter(default_spec):
     records = synth.generate_league(cfg)
     assert len(records) == 20  # C(5,2) = 10 games
     again = parse_match_csv(synth.emit_csv(records), default_spec)
-    assert again == records
+    assert_same_records(again, records)
 
 
 def test_parse_order_is_stable(default_spec):
     data = synth.emit_csv(synth.generate_league(synth.SynthConfig(n_teams=4, seed=3)))
     first = parse_match_csv(data, default_spec)
     second = parse_match_csv(data, default_spec)
-    assert first == second
+    assert_same_records(first, second)
+
+
+def test_parse_memory_per_row(default_spec):
+    # Features live in one float64 matrix, not in a dict of floats per row,
+    # and the input is decoded a line at a time, never as one text copy.
+    cfg = synth.SynthConfig(n_teams=8, games_per_pair=4, seed=4)
+    data = synth.emit_csv(synth.generate_leagues(cfg, ["A", "B", "C"]))
+    tracemalloc.start()
+    try:
+        records = parse_match_csv(data, default_spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) >= 600
+    assert retained / len(records) <= 1200
+    assert peak / len(records) <= 1500
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [synth.default_signal_map(), {n: 0.5 for n in list(DEFAULT_FEATURES)[::2]} | {"mystery": 2.0}],
+    ids=["default", "subset-and-unknown"],
+)
+def test_generated_records_build_the_matrix_their_csv_does(signal, default_spec):
+    # The subset keeps "kills", whose feature column a CSV fills from the kills column.
+    cfg = synth.SynthConfig(n_teams=4, games_per_pair=2, seed=9, shared_noise_std=0.5, feature_signal_map=signal)
+    records = synth.generate_leagues(cfg, ["LPL", "LCS", "LEC"])
+    parsed = parse_match_csv(synth.emit_csv(records), default_spec)
+    for mode in ("raw", "delta"):
+        made = build_feature_matrix(records, default_spec, mode)
+        read = build_feature_matrix(parsed, default_spec, mode)
+        assert made.row_keys == read.row_keys
+        assert made.values.tobytes() == read.values.tobytes()
+
+
+def test_feature_width_must_match_spec():
+    spec = FeatureSpec(["total_gold", "towers"], {"total_gold": "gold_experience", "towers": "objectives"})
+    with pytest.raises(ValueError, match="record feature width 1 differs from the spec's 2 names"):
+        build_feature_matrix(_two_record_game(1.0, 2.0), spec, "raw")
 
 
 def test_filter_partitions_leagues(default_spec):
@@ -157,7 +198,7 @@ def test_delta_columns_sum_to_zero_exactly(small_season):
 def test_imputation_counts_and_keeps_antisymmetry(small_season):
     spec = FeatureSpec.default()
     broken = small_season[3]
-    broken.features["total_gold"] = float("nan")
+    broken.features[spec.names.index("total_gold")] = float("nan")
     report = QualityReport()
     matrix = build_feature_matrix(small_season, spec, "delta", report)
     assert report.imputed == {"total_gold": 1}
@@ -213,8 +254,8 @@ def _two_record_game(gold_a, gold_b):
 
     ts = datetime(2020, 1, 5, tzinfo=timezone.utc)
     return [
-        TeamGameRecord("g1", "LPL", 2020, 0, "A", "B", ts, True, 10, 5, {"total_gold": gold_a}),
-        TeamGameRecord("g1", "LPL", 2020, 0, "B", "A", ts, False, 5, 10, {"total_gold": gold_b}),
+        TeamGameRecord("g1", "LPL", 2020, 0, "A", "B", ts, True, 10, 5, np.array([gold_a])),
+        TeamGameRecord("g1", "LPL", 2020, 0, "B", "A", ts, False, 5, 10, np.array([gold_b])),
     ]
 
 

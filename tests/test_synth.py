@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_same_records
 from leaguewin import synth
 from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec, parse_match_csv
 from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues, latent_skills, win_probability
@@ -56,7 +57,7 @@ def test_round_trip_thousand_records():
     cfg = SynthConfig(n_teams=12, games_per_pair=8, seed=2)
     records = generate_league(cfg)
     assert len(records) >= 1000
-    assert parse_match_csv(emit_csv(records)) == records
+    assert_same_records(parse_match_csv(emit_csv(records)), records)
 
 
 def test_empty_records_emit_header_only():
