@@ -8,7 +8,6 @@ margin is the winner's kill count minus the loser's.
 
 from __future__ import annotations
 
-import json
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
@@ -320,22 +319,3 @@ def scope_protocol(
         test_accuracy=int(n_correct[0]) / len(test_games),
         table=list(zip(configs, accs)),
     )
-
-
-def config_to_dict(config: ScopeConfig) -> dict:
-    return {f: getattr(config, f) for f in GRID_FIELDS + ("initial_rating",)}
-
-
-def grid_from_json(text: str) -> dict[str, list]:
-    """An object of lattice field -> list of values: strings for ``mov_func``, numbers otherwise."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a SCOPE grid must be a JSON object of field -> list, got {json.dumps(doc)}")
-    unknown = set(doc) - set(GRID_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown grid fields: {sorted(unknown)}")
-    for key, values in doc.items():
-        kind, expected = (str, "strings") if key == "mov_func" else ((int, float), "numbers")
-        if not (isinstance(values, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)):
-            raise ValueError(f"grid field {key!r} must be a list of {expected}, got {json.dumps(values)}")
-    return doc

@@ -12,7 +12,7 @@ import io
 import json
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -36,29 +36,6 @@ class SplitPlan:
         if len(set(leagues)) != 3:
             raise ValueError(f"plan needs three distinct leagues, got {leagues}")
 
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError(f"a split plan must be a JSON object, got {json.dumps(doc)}")
-        missing = [f for f in cls.__dataclass_fields__ if f not in doc]
-        if missing:
-            raise ValueError(f"split plan lacks {missing}")
-        for key in ("train_league", "val_league", "test_league"):
-            if not isinstance(doc[key], str) or not doc[key]:
-                raise ValueError(f"split plan field {key!r} must be a non-empty string, got {json.dumps(doc[key])}")
-        if not isinstance(doc["season"], int) or isinstance(doc["season"], bool):
-            raise ValueError(f"split plan field 'season' must be an integer, got {json.dumps(doc['season'])}")
-        return cls(doc["train_league"], doc["val_league"], doc["test_league"], doc["season"])
-
-    def to_dict(self) -> dict:
-        return {
-            "train_league": self.train_league,
-            "val_league": self.val_league,
-            "test_league": self.test_league,
-            "season": self.season,
-        }
-
 
 @dataclass
 class ExperimentRow:
@@ -76,21 +53,7 @@ class ExperimentReport:
     rows: list[ExperimentRow] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "model": r.model,
-                    "dataset": r.dataset,
-                    "params": r.params,
-                    "val_accuracy": r.val_accuracy,
-                    "test_accuracy": r.test_accuracy,
-                    "std": r.std,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
-            indent=2,
-        )
+        return json.dumps([asdict(r) for r in self.rows], indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -367,7 +330,7 @@ def scope_row(
     return ExperimentRow(
         model="scope (elo)",
         dataset="kills",
-        params=sc.config_to_dict(result.best_config),
+        params=asdict(result.best_config),
         val_accuracy=result.validation_accuracy,
         test_accuracy=result.test_accuracy,
     )

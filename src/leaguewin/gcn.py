@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,6 +122,12 @@ def n_basis(propagator_kind: str, chebyshev_degree: int) -> int:
     return chebyshev_degree + 1 if propagator_kind == lg.CHEBYSHEV else 1
 
 
+def _stage_matrices(n_stages: int, k: int) -> list[int]:
+    """Each stage's weight-matrix count: ``k`` (one per basis element) for a
+    convolution, 1 for the final dense stage of a multi-stage model."""
+    return [k if (s < n_stages - 1 or n_stages == 1) else 1 for s in range(n_stages)]
+
+
 def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
     """Glorot-uniform initialization, deterministic per seed."""
     if input_dim < 1:
@@ -129,11 +136,9 @@ def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
     rng = np.random.default_rng(config.seed)
     k = n_basis(config.propagator_kind, config.chebyshev_degree)
     weights = []
-    n_stages = len(dims) - 1
-    for s in range(n_stages):
+    for s, per_basis in enumerate(_stage_matrices(len(dims) - 1, k)):
         fan_in, fan_out = dims[s], dims[s + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        per_basis = k if (s < n_stages - 1 or n_stages == 1) else 1
         weights.append(
             [rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in range(per_basis)]
         )
@@ -430,11 +435,18 @@ def model_from_json(text: str) -> GcnModel:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
     cfg = doc["config"]
+    dims = [int(d) for d in doc["layer_dims"]]
     weights = [
         [np.array(w, dtype=np.float64) for w in stage] for stage in doc["weights"]
     ]
+    counts = _stage_matrices(len(dims) - 1, n_basis(cfg["propagator_kind"], int(cfg["chebyshev_degree"])))
+    expected = [[(dims[s], dims[s + 1])] * count for s, count in enumerate(counts)]
+    shapes = [[w.shape for w in stage] for stage in weights]
+    for s, (got, want) in enumerate(zip_longest(shapes, expected, fillvalue=[])):
+        if got != want:
+            raise ValueError(f"model stage {s} has weight shapes {got}, but layer_dims {dims} needs {want}")
     return GcnModel(
-        layer_dims=[int(d) for d in doc["layer_dims"]],
+        layer_dims=dims,
         weights=weights,
         dropout=float(cfg["dropout"]),
         propagator_kind=cfg["propagator_kind"],

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -48,17 +47,6 @@ class SynthConfig:
         for name in ("latent_skill_std", "feature_noise_std", "shared_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        return cls(**doc)
 
 
 def _sigmoid(x: float) -> float:

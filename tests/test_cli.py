@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from leaguewin.cli import cli_main
+from leaguewin.cli import COMMANDS, cli_main
 
 
 @pytest.fixture
@@ -159,9 +159,13 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
         ({"n_teams": "ten"}, "config key 'n_teams' in {config} must be an integer, got \"ten\""),
         ({"latent_skill_std": True}, "config key 'latent_skill_std' in {config} must be a number"),
         ({"feature_signal_map": {"kills": "x"}}, "config key 'feature_signal_map' in {config} must be an object of name -> number"),
+        ({"league": ""}, "config key 'league' in {config} must be a non-empty string, got \"\""),
         ([1], "config {config} must hold a JSON object"),
     ],
-    ids=["leagues-string", "leagues-repeated", "leagues-empty-name", "n-teams-string", "std-bool", "signal-map-string", "list"],
+    ids=[
+        "leagues-string", "leagues-repeated", "leagues-empty-name", "n-teams-string", "std-bool", "signal-map-string",
+        "league-empty", "list",
+    ],
 )
 def test_simulate_bad_config_value_exits_1(doc, message, tmp_path, capsys):
     config = tmp_path / "synth.json"
@@ -175,11 +179,11 @@ def test_simulate_bad_config_value_exits_1(doc, message, tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"base_k": 5}, "grid field 'base_k' must be a list of numbers, got 5"),
-        ({"base_k": ["a"]}, "grid field 'base_k' must be a list of numbers, got [\"a\"]"),
-        ({"cutoff": [1700, False]}, "grid field 'cutoff' must be a list of numbers"),
-        ({"mov_func": [1]}, "grid field 'mov_func' must be a list of strings, got [1]"),
-        ([1], "a SCOPE grid must be a JSON object of field -> list, got [1]"),
+        ({"base_k": 5}, "config key 'base_k' in {grid} must be a list of numbers, got 5"),
+        ({"base_k": ["a"]}, "config key 'base_k' in {grid} must be a list of numbers, got [\"a\"]"),
+        ({"cutoff": [1700, False]}, "config key 'cutoff' in {grid} must be a list of numbers, got [1700, false]"),
+        ({"mov_func": [1]}, "config key 'mov_func' in {grid} must be a list of strings, got [1]"),
+        ([1], "config {grid} must hold a JSON object"),
     ],
     ids=["int", "string-entry", "bool-entry", "mov-func-number", "list"],
 )
@@ -189,7 +193,7 @@ def test_baseline_scope_wrong_typed_grid_exits_1(doc, message, season_csv, tmp_p
     out = tmp_path / "o"
     argv = ["baseline-scope", "--data", str(season_csv), "--league", "CCC", "--season", "2020"]
     assert cli_main([*argv, "--config", str(grid), "--out", str(out)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(grid=grid)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,22 +203,27 @@ _PLAN = {"train_league": "AAA", "val_league": "BBB", "test_league": "CCC", "seas
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ([1], "a split plan must be a JSON object, got [1]"),
-        ({"train_league": "AAA", "val_league": "BBB", "test_league": "CCC"}, "split plan lacks ['season']"),
-        (_PLAN | {"season": [2020]}, "split plan field 'season' must be an integer, got [2020]"),
-        (_PLAN | {"season": 2020.9}, "split plan field 'season' must be an integer, got 2020.9"),
-        (_PLAN | {"season": True}, "split plan field 'season' must be an integer, got true"),
-        (_PLAN | {"train_league": 5}, "split plan field 'train_league' must be a non-empty string, got 5"),
-        (_PLAN | {"test_league": ""}, "split plan field 'test_league' must be a non-empty string, got \"\""),
+        ([1], "plan {plan} must hold a JSON object"),
+        ({"train_league": "AAA", "val_league": "BBB", "test_league": "CCC"}, "plan {plan} lacks keys ['season']"),
+        (_PLAN | {"season": [2020]}, "plan key 'season' in {plan} must be an integer, got [2020]"),
+        (_PLAN | {"season": 2020.9}, "plan key 'season' in {plan} must be an integer, got 2020.9"),
+        (_PLAN | {"season": True}, "plan key 'season' in {plan} must be an integer, got true"),
+        (_PLAN | {"train_league": 5}, "plan key 'train_league' in {plan} must be a non-empty string, got 5"),
+        (_PLAN | {"test_league": ""}, "plan key 'test_league' in {plan} must be a non-empty string, got \"\""),
+        (_PLAN | {"seson": 2021}, "unknown plan keys in {plan}: ['seson']"),
+        (_PLAN | {"test_league": "AAA"}, "plan {plan}: plan needs three distinct leagues"),
     ],
-    ids=["list", "no-season", "season-list", "season-float", "season-bool", "league-int", "league-empty"],
+    ids=[
+        "list", "no-season", "season-list", "season-float", "season-bool", "league-int", "league-empty",
+        "unknown-key", "repeated-league",
+    ],
 )
 def test_bad_plan_file_exits_1_naming_it(doc, message, season_csv, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert cli_main(["baseline-forest", "--data", str(season_csv), "--plan", str(plan), "--out", str(out)]) == 1
-    assert f"error: plan {plan}: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(plan=plan)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -263,12 +272,6 @@ def test_train_hidden_width_below_one_exits_1(width, season_csv, plan_json, tmp_
     assert cli_main(argv) == 1
     assert f"error: hidden_dims entries must be >= 1, got [{width}]" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_config_types_cover_every_train_config_field():
-    from leaguewin import cli, gcn
-
-    assert set(cli.CONFIG_TYPES) == {"features", "grid", *gcn.TrainConfig.__dataclass_fields__}
 
 
 @pytest.mark.parametrize("command", ["grid-search", "compare"])
@@ -474,6 +477,117 @@ def test_baseline_forest_cli(season_csv, plan_json, tmp_path):
     assert code == 0
     doc = json.loads((out / "forest_report.json").read_text())
     assert doc[0]["model"] == "random forest (lookback=3)"
+
+
+
+_GRID = {"hidden1": [8], "hidden2": [None], "dropout": [0.1], "model": ["gcn"], "dataset": ["delta"]}
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (_GRID | {"hidden1": ["x"]}, "config key 'hidden1' in {config} must be a list of integers, got [\"x\"]"),
+        (_GRID | {"hidden2": [None, 1.5]}, "config key 'hidden2' in {config} must be a list of integers or null"),
+        (_GRID | {"dropout": ["0.1"]}, "config key 'dropout' in {config} must be a list of numbers, got [\"0.1\"]"),
+        (_GRID | {"model": [1]}, "config key 'model' in {config} must be a list of strings, got [1]"),
+        ({"hidden1": [8]}, "config {config} lacks keys ['hidden2', 'dropout', 'model', 'dataset']"),
+        (_GRID | {"hidden3": [8]}, "unknown config keys in {config}: ['hidden3']"),
+    ],
+    ids=["hidden1-string", "hidden2-float", "dropout-string", "model-number", "only-hidden1", "unknown-axis"],
+)
+def test_grid_search_bad_grid_exits_1_naming_the_key(grid, message, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"max_epochs": 2, "grid": grid}))
+    out = tmp_path / "o"
+    argv = ["grid-search", "--data", str(season_csv), "--plan", str(plan_json), "--config", str(config)]
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message.format(config=config)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set(key, value):
+    return lambda bundle: bundle | {key: value}
+
+
+def _without(key):
+    return lambda bundle: {k: v for k, v in bundle.items() if k != key}
+
+
+def _without_last_stage(bundle):
+    bundle["model"]["weights"].pop()
+    return bundle
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda bundle: [1], "model bundle {bundle} must hold a JSON object"),
+        (_set("feature_spec", 3), "model bundle key 'feature_spec' in {bundle} must be an object"),
+        (_set("feature_spec", {"features": None}), "model bundle key 'feature_spec' in {bundle} must be an object"),
+        (_set("standardization", {"mean": ["x"], "std": [1]}), "model bundle key 'standardization' in {bundle}"),
+        (_set("mode", 3), "model bundle key 'mode' in {bundle} must be a non-empty string, got 3"),
+        (_without("standardization"), "model bundle {bundle} lacks keys ['standardization']"),
+        (_set("extra", 1), "unknown model bundle keys in {bundle}: ['extra']"),
+        (_set("schema_version", 2), "unsupported model bundle schema: 2"),
+        (_without_last_stage, "model stage 1 has weight shapes [], but layer_dims"),
+    ],
+    ids=[
+        "list", "feature-spec-int", "features-null", "mean-string", "mode-int", "no-standardization", "unknown-key",
+        "schema-2", "last-stage-deleted",
+    ],
+)
+def test_predict_bad_bundle_exits_1_naming_it(edit, message, season_csv, plan_json, tmp_path, capsys):
+    train_out = tmp_path / "train_out"
+    argv = ["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]
+    assert cli_main(argv) == 0
+    model = train_out / "model.json"
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "pred_out"
+    argv = ["predict", "--data", str(season_csv), "--model-file", str(model), "--league", "CCC", "--season", "2020"]
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message.format(bundle=model)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_failing_command_writes_nothing_and_manifest_lists_every_file(command, season_csv, plan_json, tmp_path, capsys):
+    absent = tmp_path / "absent_plan.json"
+    absent.write_text(json.dumps(_PLAN | {"test_league": "ZZZ"}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"bogus": 1}))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"max_epochs": 2, "grid": _GRID}))
+    scope_grid = tmp_path / "scope_grid.json"
+    scope_grid.write_text(json.dumps({"base_k": [20, 40]}))
+    model = tmp_path / "model" / "model.json"
+    data = ["--data", str(season_csv)]
+    planned = [*data, "--plan", str(plan_json), "--config", str(small)]
+    absent_league = ["--league", "ZZZ", "--season", "2020"]
+    league = ["--league", "CCC", "--season", "2020"]
+    failing, succeeding = {
+        "simulate": (["--config", str(bad)], []),
+        "ingest": ([*data, "--config", str(bad)], data),
+        "build-graph": ([*data, *absent_league], [*data, *league]),
+        "train": ([*data, "--plan", str(absent)], planned),
+        "predict": ([*data, "--model-file", str(model), *absent_league], [*data, "--model-file", str(model), *league]),
+        "grid-search": ([*data, "--plan", str(bad)], planned),
+        "baseline-scope": ([*data, *absent_league], [*data, *league, "--config", str(scope_grid)]),
+        "baseline-forest": ([*data, "--plan", str(absent)], [*data, "--plan", str(plan_json)]),
+        "compare": ([*data, "--plan", str(plan_json), "--config", str(bad)], planned),
+    }[command]
+    if command == "predict":
+        assert cli_main(["train", *planned, "--out", str(model.parent)]) == 0
+
+    out = tmp_path / "failed"
+    assert cli_main([command, *failing, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+    out = tmp_path / "succeeded"
+    assert cli_main([command, *succeeding, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted([*manifest["outputs"], "manifest.json"]) == sorted(p.name for p in out.iterdir())
 
 
 def test_grid_search_cli(season_csv, plan_json, tmp_path):

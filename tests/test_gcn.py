@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -581,6 +583,32 @@ def test_model_json_round_trip():
         for wa, wb in zip(sa, sb):
             assert np.array_equal(wa, wb)
 
+
+
+def _edited_model_json(edit) -> str:
+    # Chebyshev degree 2, two convolutions: stages of 3, 3 and 1 matrices.
+    model = init_model(TrainConfig(hidden_dims=[5, 4], propagator_kind="gcn-cheby", chebyshev_degree=2), 7)
+    doc = json.loads(model_to_json(model))
+    edit(doc["weights"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, stage, got, want",
+    [
+        (lambda w: w.pop(), 2, [], [(4, 2)]),
+        (lambda w: w.append(w[-1]), 3, [(4, 2)], []),
+        (lambda w: w[1].pop(), 1, [(5, 4)] * 2, [(5, 4)] * 3),
+        (lambda w: w[2].append(w[2][0]), 2, [(4, 2)] * 2, [(4, 2)]),
+        (lambda w: w[0][1].pop(), 0, [(7, 5), (6, 5), (7, 5)], [(7, 5)] * 3),
+        (lambda w: [row.pop() for row in w[2][0]], 2, [(4, 1)], [(4, 2)]),
+    ],
+    ids=["stage-missing", "stage-extra", "conv-matrix-missing", "dense-matrix-extra", "rows", "columns"],
+)
+def test_model_json_weights_must_match_layer_dims(edit, stage, got, want):
+    message = f"model stage {stage} has weight shapes {got}, but layer_dims [7, 5, 4, 2] needs {want}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(_edited_model_json(edit))
 
 def test_train_report_csv_format():
     report = gcn.TrainReport(train_loss=[0.5], train_acc=[0.6], val_loss=[0.7], val_acc=[0.8], best_epoch=1)

@@ -107,8 +107,6 @@ def test_invalid_config_rejected():
         SynthConfig(n_teams=1)
     with pytest.raises(ValueError):
         SynthConfig(latent_skill_std=-1.0)
-    with pytest.raises(ValueError):
-        SynthConfig.from_json('{"bogus_key": 3}')
 
 
 def test_noiseless_strong_signal_is_separable_for_rf():
