@@ -210,6 +210,26 @@ BUNDLE_TYPES = {
     "standardization": ('an object {"mean": numbers, "std": numbers}', _holding(("mean", "std"), _list_of(_number))),
     "model": ("an object", lambda v: isinstance(v, dict)),
 }
+# The bundle's "model" object, as gcn.model_to_json writes it.  TrainConfig
+# then checks the config's values, and model_from_json the weight shapes.
+MODEL_TYPES = {
+    "schema_version": ("an integer", _integer),
+    "config": ("an object", lambda v: isinstance(v, dict)),
+    "layer_dims": (
+        "a list of two or more integers >= 1, the last 2",
+        lambda v: _list_of(_integer)(v) and len(v) >= 2 and min(v) >= 1 and v[-1] == 2,
+    ),
+    "weights": (
+        "a list of stages, each a list of matrices of numbers",
+        _list_of(_list_of(_list_of(_list_of(_number)))),
+    ),
+}
+MODEL_CONFIG_TYPES = {
+    "dropout": _ANNOTATED["float"],
+    "propagator_kind": _ANNOTATED["str"],
+    "chebyshev_degree": _ANNOTATED["int"],
+    "rng_seed": _ANNOTATED["int"],
+}
 
 
 def _check(doc, what: str, source, types: dict, required: bool = False) -> dict:
@@ -227,7 +247,9 @@ def _check(doc, what: str, source, types: dict, required: bool = False) -> dict:
     for key, value in doc.items():
         expected, check = types[key]
         if not check(value):
-            raise ValueError(f"{what} key {key!r} in {source} must be {expected}, got {json.dumps(value)}")
+            got = json.dumps(value)
+            got = got if len(got) <= 80 else got[:77] + "..."  # a weight list can run to megabytes
+            raise ValueError(f"{what} key {key!r} in {source} must be {expected}, got {got}")
     return doc
 
 
@@ -329,7 +351,12 @@ def _cmd_predict(args) -> tuple[dict, str]:
     bundle = _load(args.model_file, "model bundle", BUNDLE_TYPES, required=True)
     if bundle["schema_version"] != BUNDLE_SCHEMA_VERSION:
         raise ValueError(f"unsupported model bundle schema: {bundle['schema_version']}")
-    model = gcn.model_from_json(json.dumps(bundle["model"]))
+    _check(bundle["model"], "model", args.model_file, MODEL_TYPES, required=True)
+    _check(bundle["model"]["config"], "model config", args.model_file, MODEL_CONFIG_TYPES, required=True)
+    try:
+        model = gcn.model_from_json(json.dumps(bundle["model"]))
+    except ValueError as exc:
+        raise ValueError(f"model bundle {args.model_file}: {exc}") from None
     spec = FeatureSpec(list(bundle["feature_spec"]["features"]), dict(bundle["feature_spec"]["features"]))
     stats = ColumnStats(**{k: np.array(v, dtype=np.float64) for k, v in bundle["standardization"].items()})
     g, _ = experiment.league_graph_for(
@@ -345,8 +372,8 @@ def _cmd_predict(args) -> tuple[dict, str]:
 def _cmd_grid_search(args) -> tuple[dict, str]:
     plan = _plan(args)
     doc = _config(args)
-    grid = doc.get("grid") or None
-    if grid:
+    grid = doc.get("grid")
+    if grid is not None:
         _check(grid, "config", args.config, GCN_GRID_TYPES, required=True)
     spec = _feature_spec(doc)
     records = _records(args, spec)

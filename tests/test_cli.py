@@ -492,8 +492,12 @@ _GRID = {"hidden1": [8], "hidden2": [None], "dropout": [0.1], "model": ["gcn"], 
         (_GRID | {"model": [1]}, "config key 'model' in {config} must be a list of strings, got [1]"),
         ({"hidden1": [8]}, "config {config} lacks keys ['hidden2', 'dropout', 'model', 'dataset']"),
         (_GRID | {"hidden3": [8]}, "unknown config keys in {config}: ['hidden3']"),
+        ({}, "config {config} lacks keys ['hidden1', 'hidden2', 'dropout', 'model', 'dataset']"),
     ],
-    ids=["hidden1-string", "hidden2-float", "dropout-string", "model-number", "only-hidden1", "unknown-axis"],
+    ids=[
+        "hidden1-string", "hidden2-float", "dropout-string", "model-number", "only-hidden1", "unknown-axis",
+        "empty-object",
+    ],
 )
 def test_grid_search_bad_grid_exits_1_naming_the_key(grid, message, season_csv, plan_json, tmp_path, capsys):
     config = tmp_path / "cfg.json"
@@ -518,6 +522,18 @@ def _without_last_stage(bundle):
     return bundle
 
 
+def _set_model(key, value):
+    return lambda bundle: bundle | {"model": bundle["model"] | {key: value}}
+
+
+def _set_model_config(key, value):
+    return _edit_model_config(lambda config: config | {key: value})
+
+
+def _edit_model_config(edit):
+    return lambda bundle: bundle | {"model": bundle["model"] | {"config": edit(bundle["model"]["config"])}}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -529,11 +545,29 @@ def _without_last_stage(bundle):
         (_without("standardization"), "model bundle {bundle} lacks keys ['standardization']"),
         (_set("extra", 1), "unknown model bundle keys in {bundle}: ['extra']"),
         (_set("schema_version", 2), "unsupported model bundle schema: 2"),
-        (_without_last_stage, "model stage 1 has weight shapes [], but layer_dims"),
+        (_without_last_stage, "model bundle {bundle}: model stage 1 has weight shapes [], but layer_dims"),
+        (_set_model("config", 3), "model key 'config' in {bundle} must be an object, got 3"),
+        (
+            lambda bundle: _set_model("weights", [5, *bundle["model"]["weights"][1:]])(bundle),
+            "model key 'weights' in {bundle} must be a list of stages, each a list of matrices of numbers, got [5, [[",
+        ),
+        (_set_model("layer_dims", ["x"]), "model key 'layer_dims' in {bundle} must be a list of two or more integers"),
+        (_set_model("layer_dims", [30, 64, 3]), "model key 'layer_dims' in {bundle} must be a list of two or more"),
+        (_set_model("extra", 1), "unknown model keys in {bundle}: ['extra']"),
+        (_set_model_config("dropout", 2.0), "model bundle {bundle}: dropout must lie in [0, 1)"),
+        (_set_model_config("dropout", "x"), 'model config key \'dropout\' in {bundle} must be a number, got "x"'),
+        (_set_model_config("propagator_kind", "zzz"), "model bundle {bundle}: unknown propagator_kind 'zzz'"),
+        (_set_model_config("chebyshev_degree", -1), "model bundle {bundle}: chebyshev_degree must be >= 0"),
+        (
+            _edit_model_config(lambda config: {k: v for k, v in config.items() if k != "rng_seed"}),
+            "model config {bundle} lacks keys ['rng_seed']",
+        ),
     ],
     ids=[
         "list", "feature-spec-int", "features-null", "mean-string", "mode-int", "no-standardization", "unknown-key",
-        "schema-2", "last-stage-deleted",
+        "schema-2", "last-stage-deleted", "model-config-int", "weights-stage-number", "layer-dims-string",
+        "layer-dims-three-logits", "model-unknown-key", "dropout-2", "dropout-string", "kind-zzz", "degree-negative",
+        "config-no-seed",
     ],
 )
 def test_predict_bad_bundle_exits_1_naming_it(edit, message, season_csv, plan_json, tmp_path, capsys):

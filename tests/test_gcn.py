@@ -378,6 +378,78 @@ def test_train_divergence_raises():
             train_on(model, g, g_val, config)
 
 
+def _blas_threads() -> int:
+    return gcn._openblas_threads()[0]()
+
+
+def _train_recording_blas_threads(monkeypatch, g, g_val, config):
+    """train_on, returning also the BLAS thread count each backward saw."""
+    seen = []
+    real_backward = gcn.backward
+
+    def backward(*args, **kwargs):
+        seen.append(_blas_threads())
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(gcn, "backward", backward)
+    return train_on(init_model(config, g.features.values.shape[1]), g, g_val, config), seen
+
+
+def test_scipy_openblas_thread_functions_resolve():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy links {blas.get('name')}, whose thread count train leaves alone")
+    assert gcn._openblas_threads() is not None
+
+
+@pytest.mark.skipif(gcn._openblas_threads() is None, reason="numpy does not link scipy-openblas")
+def test_train_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    g = labeled_graph(seed=1)
+    g_val = labeled_graph(seed=2)
+    set_threads = gcn._openblas_threads()[1]
+    prior = _blas_threads()
+    set_threads(2)  # where the box allows it, so that a missed restore shows
+    try:
+        before = _blas_threads()
+        config = TrainConfig(hidden_dims=[4], max_epochs=3, seed=0)
+        _, seen = _train_recording_blas_threads(monkeypatch, g, g_val, config)
+        assert seen == [1, 1, 1]
+        assert _blas_threads() == before
+        diverging = replace(config, learning_rate=1e200, dropout=0.0, max_epochs=10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged):
+                _train_recording_blas_threads(monkeypatch, g, g_val, diverging)
+        assert _blas_threads() == before
+        with gcn._one_blas_thread:  # overlapping uses: the last to leave restores
+            with gcn._one_blas_thread:
+                assert _blas_threads() == 1
+            assert _blas_threads() == 1
+        assert _blas_threads() == before
+    finally:
+        set_threads(prior)
+
+
+def test_one_blas_thread_keeps_training_bit_for_bit(monkeypatch):
+    # 440 nodes, 30 features, hidden 64: large enough that OpenBLAS runs
+    # the feature-times-weight products on every thread it has.  (Not every
+    # shape keeps its bits: two 64-wide stages on this graph differ from the
+    # threaded run in the last bits of the weights.)
+    g = labeled_graph(n_teams=11, games_per_pair=4, seed=1)
+    g_val = labeled_graph(n_teams=11, games_per_pair=4, seed=2)
+    assert g.features.values.shape == (440, 30)
+    config = TrainConfig(hidden_dims=[64], propagator_kind="gcn-cheby", max_epochs=15, seed=3)
+    model = init_model(config, 30)
+    capped, capped_report = train_on(model, g, g_val, config)
+    monkeypatch.setattr(gcn, "_openblas_threads", lambda: None)
+    uncapped, uncapped_report = train_on(model, g, g_val, config)
+    for sa, sb in zip(capped.weights, uncapped.weights, strict=True):
+        for wa, wb in zip(sa, sb, strict=True):
+            assert np.array_equal(wa, wb)
+    for name in ("train_loss", "train_acc", "val_loss", "val_acc"):
+        assert np.array_equal(getattr(capped_report, name), getattr(uncapped_report, name))
+    assert capped_report.best_epoch == uncapped_report.best_epoch
+
+
 def _reference_forward(weights, mats, x, dropout, rng):
     """Every product of the layer rule: mats holds the whole basis, T0 = I included."""
     h, stages = x, []
