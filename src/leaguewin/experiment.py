@@ -236,7 +236,7 @@ def grid_search_gcn(
         if key not in props:
             props[key] = split_propagators(config, train_g, val_g)
         model = gcn.init_model(config, train_g.features.values.shape[1])
-        model, report = gcn.train(model, train_g, val_g, config, *props[key])
+        model, report = gcn.train(model, train_g, val_g, config, *props[key], train_metrics=False)
         rows.append(gcn_row(config, dataset, report))
         # Strictly greater: ties keep the first cell in enumeration order.
         if len(rows) == 1 or rows[-1].val_accuracy > winner.val_accuracy:

@@ -9,10 +9,16 @@ stage input during training with inverted 1/(1-p) scaling.
 Propagation multiplies by the propagator's own CSR matrices, and only the
 products a result needs are formed.  A Chebyshev basis's T0 = I is applied
 as the identity.  ``train`` takes both graphs' propagators, built once by
-the caller, and propagates each graph's features through the first stage
-once; its dropout-off passes (the train-graph evaluation and the validation
-pass) reuse that every epoch.  ``backward`` stops at the first stage's
-weight gradients: nothing reads the gradient of the network input.
+the caller, and propagates the validation graph's features through the
+first stage once; the dropout-off validation pass reuses that every epoch.
+With ``train_metrics`` on (the default, which the ``train`` command needs
+for ``train_report.csv``), each epoch also evaluates the train graph
+without dropout, reusing its own first stage; ``grid-search`` reads no
+train-graph metric, so it trains with ``train_metrics`` off and skips that
+pass.  ``backward`` stops at the first stage's weight
+gradients: nothing reads the gradient of the network input.  An epoch sums
+the basis terms, applies ReLU and updates Adam's moments in place, which
+gives the same bits as forming new arrays.
 
 BLAS threads: ``train`` runs with numpy's bundled OpenBLAS capped at one
 thread, and restores the previous count when it returns or raises.  The
@@ -126,9 +132,12 @@ class TrainReport:
 
     @property
     def epochs_run(self) -> int:
-        return len(self.train_loss)
+        return len(self.val_loss)
 
     def to_csv(self) -> str:
+        columns = (self.train_loss, self.train_acc, self.val_loss, self.val_acc)
+        if any(len(c) != self.epochs_run for c in columns):
+            raise ValueError("a train report CSV needs train and validation metrics for every epoch")
         lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
         for e in range(self.epochs_run):
             lines.append(
@@ -255,12 +264,16 @@ def forward(
                 ph = first_stage
             else:
                 ph = _apply_basis(model, mats, [h_in] * expected)
-            z = sum(ph_k @ w_k for ph_k, w_k in zip(ph, stage_weights))
+            z = ph[0] @ stage_weights[0]
+            for ph_k, w_k in zip(ph[1:], stage_weights[1:]):
+                z += ph_k @ w_k
         else:
             ph = None
             z = h_in @ stage_weights[0]
+        if s < n_stages - 1:
+            np.maximum(z, 0.0, out=z)  # backward's z > 0 reads the same bits
         stages.append({"h_in": h_in, "ph": ph, "z": z, "mask": mask, "is_conv": is_conv})
-        h = np.maximum(z, 0.0) if s < n_stages - 1 else z
+        h = z
     cache = {"stages": stages, "logits": h, "mats": mats, "model": model}
     return h, cache
 
@@ -274,6 +287,32 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _label_index(labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masked nodes' indices and their integer labels."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise ValueError("no labeled nodes under the mask")
+    return idx, labels[idx].astype(int)
+
+
+def _loss(
+    logits: np.ndarray,
+    idx: np.ndarray,
+    y: np.ndarray,
+    weight_decay: float = 0.0,
+    weights: list[list[np.ndarray]] | None = None,
+) -> float:
+    lsm = log_softmax(logits[idx])
+    loss = -lsm[np.arange(idx.size), y].mean()
+    if weight_decay and weights is not None:
+        loss += weight_decay * 0.5 * sum(float((w * w).sum()) for w in weights[0])
+    return float(loss)
+
+
+def _accuracy(logits: np.ndarray, idx: np.ndarray, y: np.ndarray) -> float:
+    return float((logits[idx].argmax(axis=1) == y).mean())
+
+
 def masked_loss(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -282,22 +321,11 @@ def masked_loss(
     weights: list[list[np.ndarray]] | None = None,
 ) -> float:
     """Mean cross-entropy over masked nodes plus first-stage L2 decay."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("no labeled nodes under the mask")
-    lsm = log_softmax(logits[idx])
-    loss = -lsm[np.arange(idx.size), labels[idx].astype(int)].mean()
-    if weight_decay and weights is not None:
-        loss += weight_decay * 0.5 * sum(float((w * w).sum()) for w in weights[0])
-    return float(loss)
+    return _loss(logits, *_label_index(labels, mask), weight_decay, weights)
 
 
 def masked_accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("no labeled nodes under the mask")
-    pred = logits[idx].argmax(axis=1)
-    return float((pred == labels[idx].astype(int)).mean())
+    return _accuracy(logits, *_label_index(labels, mask))
 
 
 def backward(
@@ -311,16 +339,14 @@ def backward(
     mats = cache["mats"]
     stages = cache["stages"]
     logits = cache["logits"]
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("no labeled nodes under the mask")
+    idx, y = _label_index(labels, mask)
 
-    dz = softmax(logits)
-    onehot = np.zeros_like(dz)
-    onehot[idx, labels[idx].astype(int)] = 1.0
-    dz -= onehot
-    dz[~mask.astype(bool)] = 0.0
-    dz /= idx.size
+    # Unlabelled rows carry no loss, so only the labelled rows are formed.
+    d_labelled = softmax(logits[idx])
+    d_labelled[np.arange(idx.size), y] -= 1.0
+    d_labelled /= idx.size
+    dz = np.zeros_like(logits)
+    dz[idx] = d_labelled
 
     grads: list[list[np.ndarray]] = [None] * model.n_stages
     for s in range(model.n_stages - 1, -1, -1):
@@ -334,10 +360,16 @@ def backward(
         if s == 0:
             break  # nothing reads the gradient of the network input
         back = [dz @ w.T for w in model.weights[s]]
-        dh = sum(_apply_basis(model, mats, back)) if st["is_conv"] else back[0]
+        if st["is_conv"]:
+            dh, *terms = _apply_basis(model, mats, back)
+            for term in terms:
+                dh += term
+        else:
+            (dh,) = back
         if st["mask"] is not None:
-            dh = dh * st["mask"]
-        dz = dh * (stages[s - 1]["z"] > 0)
+            dh *= st["mask"]
+        dh *= stages[s - 1]["z"] > 0
+        dz = dh
     if weight_decay:
         for k, w in enumerate(model.weights[0]):
             grads[0][k] = grads[0][k] + weight_decay * w
@@ -409,6 +441,8 @@ def train(
     config: TrainConfig,
     train_prop: lg.Propagator,
     val_prop: lg.Propagator,
+    *,
+    train_metrics: bool = True,
 ) -> tuple[GcnModel, TrainReport]:
     """Full-batch Adam with early stopping on validation accuracy.
 
@@ -416,7 +450,10 @@ def train(
     already be labeled with the same offset as the model's convolution count.
     ``train_prop`` and ``val_prop`` are their ``build_propagator`` results
     for the model, so callers training many models on one split build them
-    once.
+    once.  With ``train_metrics`` off, the epochs skip the dropout-off
+    train-graph evaluation and leave the report's ``train_loss`` and
+    ``train_acc`` empty; the weights and the validation metrics are the same
+    bits either way.
     """
     for name, g in (("train", train_graph), ("val", val_graph)):
         if g.features is None:
@@ -427,9 +464,12 @@ def train(
     model = replace(model, weights=model.copy_weights())  # never mutate the caller's model
     x_train = np.asarray(train_graph.features.values, dtype=np.float64)
     x_val = np.asarray(val_graph.features.values, dtype=np.float64)
+    train_labelled = _label_index(train_graph.labels, train_graph.label_mask)
+    val_labelled = _label_index(val_graph.labels, val_graph.label_mask)
     # The dropout-off passes see the same first-stage input every epoch.
     k = n_basis(model.propagator_kind, model.chebyshev_degree)
-    first_train = _apply_basis(model, _basis(model, train_prop), [x_train] * k)
+    if train_metrics:
+        first_train = _apply_basis(model, _basis(model, train_prop), [x_train] * k)
     first_val = _apply_basis(model, _basis(model, val_prop), [x_val] * k)
 
     rng = np.random.default_rng(config.seed)
@@ -443,26 +483,28 @@ def train(
     stall = 0
     for epoch in range(1, config.max_epochs + 1):
         logits, cache = forward(model, x_train, train_prop, training=True, rng=rng)
-        loss = masked_loss(logits, train_graph.labels, train_graph.label_mask, config.weight_decay, model.weights)
+        loss = _loss(logits, *train_labelled, config.weight_decay, model.weights)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
         grads = backward(cache, train_graph.labels, train_graph.label_mask, config.weight_decay)
         for s, stage in enumerate(model.weights):
             for k, w in enumerate(stage):
-                m = m_state[s][k] = beta1 * m_state[s][k] + (1 - beta1) * grads[s][k]
-                v = v_state[s][k] = beta2 * v_state[s][k] + (1 - beta2) * grads[s][k] ** 2
+                g, m, v = grads[s][k], m_state[s][k], v_state[s][k]
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g**2
                 m_hat = m / (1 - beta1**epoch)
                 v_hat = v / (1 - beta2**epoch)
                 w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-        eval_logits, _ = forward(model, x_train, train_prop, training=False, first_stage=first_train)
-        report.train_loss.append(
-            masked_loss(eval_logits, train_graph.labels, train_graph.label_mask, config.weight_decay, model.weights)
-        )
-        report.train_acc.append(masked_accuracy(eval_logits, train_graph.labels, train_graph.label_mask))
+        if train_metrics:
+            eval_logits, _ = forward(model, x_train, train_prop, training=False, first_stage=first_train)
+            report.train_loss.append(_loss(eval_logits, *train_labelled, config.weight_decay, model.weights))
+            report.train_acc.append(_accuracy(eval_logits, *train_labelled))
         val_logits, _ = forward(model, x_val, val_prop, training=False, first_stage=first_val)
-        report.val_loss.append(masked_loss(val_logits, val_graph.labels, val_graph.label_mask))
-        report.val_acc.append(masked_accuracy(val_logits, val_graph.labels, val_graph.label_mask))
+        report.val_loss.append(_loss(val_logits, *val_labelled))
+        report.val_acc.append(_accuracy(val_logits, *val_labelled))
 
         if report.val_acc[-1] > best_acc:
             best_acc = report.val_acc[-1]

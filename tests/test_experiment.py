@@ -138,15 +138,34 @@ def test_grid_builds_each_split_propagator_once(monkeypatch):
 
 def test_grid_cells_on_shared_splits_match_run_cross_league():
     # Cells that share a split must train exactly as if each built its own.
+    # The grid trains without train-graph metrics: two forward passes an
+    # epoch (the dropout pass and validation), plus the winner's test score.
     records = three_leagues(seed=100)
     base = gcn.TrainConfig(seed=2, max_epochs=20)
-    report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
+    counts = {"forward": 0, "epochs": 0}
+    real_forward, real_train = gcn.forward, gcn.train
+
+    def counting_forward(*args, **kwargs):
+        counts["forward"] += 1
+        return real_forward(*args, **kwargs)
+
+    def counting_train(*args, **kwargs):
+        model, report = real_train(*args, **kwargs)
+        counts["epochs"] += report.epochs_run
+        return model, report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcn, "forward", counting_forward)
+        mp.setattr(gcn, "train", counting_train)
+        report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
+    assert counts["forward"] == 2 * counts["epochs"] + 1
     assert len(report.rows) == 8
     for row, (hidden, dropout, kind, dataset) in zip(report.rows, gcn_grid_cells(EIGHT_CELLS)):
         config = gcn.TrainConfig(
             hidden_dims=hidden, dropout=dropout, propagator_kind=kind, seed=2, max_epochs=20
         )
-        direct, _, _ = run_cross_league(records, PLAN, config, dataset)
+        direct, _, direct_report = run_cross_league(records, PLAN, config, dataset)
+        assert len(direct_report.train_acc) == direct_report.epochs_run
         assert (row.model, row.dataset, row.params) == (direct.model, direct.dataset, direct.params)
         assert row.val_accuracy == direct.val_accuracy
 

@@ -40,10 +40,10 @@ def labeled_graph(n_teams=5, games_per_pair=2, seed=0, convolutions=1, mode="del
     return assign_labels(build_league_graph(records, features=matrix), convolutions)
 
 
-def train_on(model, g, g_val, config):
+def train_on(model, g, g_val, config, **kwargs):
     """gcn.train with both graphs' propagators built by build_propagator."""
     props = [gcn.build_propagator(h, model.propagator_kind, model.chebyshev_degree) for h in (g, g_val)]
-    return train(model, g, g_val, config, *props)
+    return train(model, g, g_val, config, *props, **kwargs)
 
 
 def test_init_deterministic_per_seed():
@@ -354,13 +354,13 @@ def test_early_stop_patience_contract(monkeypatch):
     seq = iter([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
     calls = {"n": 0}
 
-    def fake_accuracy(logits, labels, mask):
+    def fake_accuracy(logits, idx, y):
         calls["n"] += 1
         if calls["n"] % 2 == 1:  # train-graph call
             return 0.5
         return next(seq)  # strictly worsening validation
 
-    monkeypatch.setattr(gcn, "masked_accuracy", fake_accuracy)
+    monkeypatch.setattr(gcn, "_accuracy", fake_accuracy)
     config = TrainConfig(hidden_dims=[4], early_stop_patience=1, max_epochs=50, dropout=0.0, seed=0)
     model = init_model(config, g.features.values.shape[1])
     _, report = train_on(model, g, g_val, config)
@@ -561,6 +561,38 @@ def test_train_matches_every_product_reference(kind, degree, layers, dropout):
             assert wa.tobytes() == wb.tobytes()
 
 
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("kind,degree", [("gcn", 1), ("gcn-cheby", 1), ("gcn-cheby", 2)])
+def test_train_without_train_metrics_skips_only_the_train_graph_pass(monkeypatch, kind, degree, layers, dropout):
+    g = labeled_graph(seed=1, convolutions=layers)
+    g_val = labeled_graph(seed=2, convolutions=layers)
+    config = TrainConfig(
+        hidden_dims=[8] * layers, dropout=dropout, max_epochs=25, early_stop_patience=8,
+        propagator_kind=kind, chebyshev_degree=degree, seed=4,
+    )
+    model = init_model(config, g.features.values.shape[1])
+    calls = {"n": 0}
+    real_forward = gcn.forward
+
+    def counting_forward(*args, **kwargs):
+        calls["n"] += 1
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(gcn, "forward", counting_forward)
+    best, report = train_on(model, g, g_val, config)
+    assert calls["n"] == 3 * report.epochs_run
+    calls["n"] = 0
+    lean, lean_report = train_on(model, g, g_val, config, train_metrics=False)
+    assert calls["n"] == 2 * lean_report.epochs_run
+    assert (lean_report.train_loss, lean_report.train_acc) == ([], [])
+    assert (lean_report.val_loss, lean_report.val_acc) == (report.val_loss, report.val_acc)
+    assert (lean_report.best_epoch, lean_report.epochs_run) == (report.best_epoch, report.epochs_run)
+    for sa, sb in zip(lean.weights, best.weights, strict=True):
+        for wa, wb in zip(sa, sb, strict=True):
+            assert wa.tobytes() == wb.tobytes()
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("kind,degree", [("gcn", 1), ("gcn-cheby", 1)])
 def test_train_agrees_with_dense_product_reference(kind, degree, layers):
@@ -687,3 +719,21 @@ def test_train_report_csv_format():
     lines = report.to_csv().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
     assert lines[1] == "1,0.5,0.6,0.7,0.8"
+
+
+def test_train_report_without_train_metrics_counts_validation_epochs():
+    report = gcn.TrainReport(val_loss=[0.7, 0.6, 0.65], val_acc=[0.8, 0.85, 0.8], best_epoch=2)
+    assert report.epochs_run == 3
+
+
+@pytest.mark.parametrize(
+    "train_loss, train_acc",
+    [([], []), ([0.5], [0.6]), ([0.5, 0.4], [0.6]), ([0.5, 0.4, 0.3], [0.6, 0.7, 0.8])],
+    ids=["no-train-metrics", "shorter", "one-list-short", "longer"],
+)
+def test_train_report_csv_needs_every_epochs_train_metrics(train_loss, train_acc):
+    report = gcn.TrainReport(
+        train_loss=train_loss, train_acc=train_acc, val_loss=[0.7, 0.6], val_acc=[0.8, 0.85], best_epoch=2
+    )
+    with pytest.raises(ValueError, match="train and validation metrics for every epoch"):
+        report.to_csv()
