@@ -82,7 +82,7 @@ def cli_main(argv=None) -> int:
         for path, data in outputs.items():
             _write_atomic(path, data)
         _write_atomic(out_dir / "manifest.json", _manifest(args, argv, outputs))
-    except (MatchLogError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (MatchLogError, ValueError, KeyError, OSError, json.JSONDecodeError, gcn.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

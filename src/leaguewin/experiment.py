@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, replace
@@ -155,18 +156,34 @@ def split_propagators(
 def run_cross_league(
     records: list[TeamGameRecord],
     plan: SplitPlan,
-    config: gcn.TrainConfig,
-    mode: str = "delta",
+    cells: list[tuple[gcn.TrainConfig, str]],
     spec: FeatureSpec | None = None,
-) -> tuple[ExperimentRow, gcn.GcnModel, gcn.TrainReport]:
-    best, report, test_g, _ = train_for_plan(records, plan, config, mode, spec)
-    report.test_accuracy = final_test_accuracy(best, test_g)
-    return gcn_row(config, mode, report), best, report
+) -> Iterator[tuple[ExperimentRow, gcn.GcnModel, lg.LeagueGraph]]:
+    """Train each ``(config, dataset)`` cell on the plan's train/val leagues.
+
+    Yields each cell's row (test accuracy unset), best model and test graph
+    in order; only final_test_accuracy reads test labels.  A generator, so a
+    caller that keeps one winner holds one model, not one per cell.
+    """
+    # Cells differ in the split only by dataset mode and convolution count
+    # (the label offset), and in its propagators only by kind and degree: each
+    # distinct split, and each (split, kind) pair's propagators, is built once.
+    keys = dict.fromkeys((dataset, conv_layers_of(config)) for config, dataset in cells)
+    splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
+    props = {}
+    for config, dataset in cells:
+        train_g, val_g, test_g, _ = splits[dataset, conv_layers_of(config)]
+        key = (dataset, conv_layers_of(config), config.propagator_kind, config.chebyshev_degree)
+        if key not in props:
+            props[key] = split_propagators(config, train_g, val_g)
+        model = gcn.init_model(config, train_g.features.values.shape[1])
+        model, report = gcn.train(model, train_g, val_g, config, *props[key], train_metrics=False)
+        yield gcn_row(config, dataset, report), model, test_g
 
 
 def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> ExperimentRow:
-    """A trained GCN's row: its config, best-epoch validation accuracy and
-    the report's test accuracy (None until the test league is scored)."""
+    """A trained GCN's row: its config and best-epoch validation accuracy;
+    its test accuracy stays None until the test league is scored."""
     return ExperimentRow(
         model=model_display_name(config.propagator_kind, conv_layers_of(config)),
         dataset=dataset,
@@ -177,7 +194,6 @@ def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> E
             "seed": config.seed,
         },
         val_accuracy=report.val_acc[report.best_epoch - 1],
-        test_accuracy=report.test_accuracy,
     )
 
 
@@ -221,26 +237,12 @@ def grid_search_gcn(
     ]
     if not cells:
         raise ValueError("empty grid")
-    # Cells differ in the split only by dataset mode and convolution count
-    # (the label offset), so each distinct split is built once and shared.
-    keys = dict.fromkeys((dataset, conv_layers_of(config)) for config, dataset in cells)
-    splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
-
     rows = []
-    # A split's propagators depend only on the model kind and degree, so
-    # each (split, kind) pair builds them once, lambda_max included.
-    props = {}
-    for config, dataset in cells:
-        train_g, val_g, test_g, _ = splits[dataset, conv_layers_of(config)]
-        key = (dataset, conv_layers_of(config), config.propagator_kind, config.chebyshev_degree)
-        if key not in props:
-            props[key] = split_propagators(config, train_g, val_g)
-        model = gcn.init_model(config, train_g.features.values.shape[1])
-        model, report = gcn.train(model, train_g, val_g, config, *props[key], train_metrics=False)
-        rows.append(gcn_row(config, dataset, report))
+    for row, model, test_g in run_cross_league(records, plan, cells, spec):
+        rows.append(row)
         # Strictly greater: ties keep the first cell in enumeration order.
-        if len(rows) == 1 or rows[-1].val_accuracy > winner.val_accuracy:
-            winner, winner_model, winner_test = rows[-1], model, test_g
+        if len(rows) == 1 or row.val_accuracy > winner.val_accuracy:
+            winner, winner_model, winner_test = row, model, test_g
     winner.test_accuracy = final_test_accuracy(winner_model, winner_test)
     winner.note = "winner"
     return ExperimentReport(rows=rows)
@@ -262,23 +264,18 @@ def compare_all(
     """
     if gcn_config is None:
         gcn_config = gcn.TrainConfig()
-    rows: list[ExperimentRow] = []
-    gcn_variants = [
-        ("gcn-cheby", [64], "raw"),
-        ("gcn", [64], "delta"),
-        ("gcn-cheby", [64, 64], "delta"),
-    ]
-    for kind, hidden, dataset in gcn_variants:
-        config = replace(gcn_config, hidden_dims=hidden, propagator_kind=kind)
-        row, _, _ = run_cross_league(records, plan, config, dataset, spec)
+    variants = [("gcn-cheby", [64], "raw"), ("gcn", [64], "delta"), ("gcn-cheby", [64, 64], "delta"),
+                ("gcn-cheby", [64], "delta")]
+    cells = [(replace(gcn_config, hidden_dims=h, propagator_kind=k), dataset) for k, h, dataset in variants]
+    rows = []
+    for row, model, test_g in run_cross_league(records, plan, cells, spec):
+        row.test_accuracy = final_test_accuracy(model, test_g)
         rows.append(row)
-
-    rows.append(random_forest_row(records, plan, lookback=5, mode="delta", seeds=rf_seeds, spec=spec))
-    rows.append(scope_row(records, plan, scope_grid))
-
-    config = replace(gcn_config, hidden_dims=[64], propagator_kind="gcn-cheby")
-    row, _, _ = run_cross_league(records, plan, config, "delta", spec)
-    rows.append(row)
+    # The table lists the two baselines before the last GCN row.
+    rows[3:3] = [
+        random_forest_row(records, plan, lookback=5, mode="delta", seeds=rf_seeds, spec=spec),
+        scope_row(records, plan, scope_grid),
+    ]
     return ExperimentReport(rows=rows)
 
 

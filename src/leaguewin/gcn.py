@@ -13,10 +13,11 @@ the caller, and propagates the validation graph's features through the
 first stage once; the dropout-off validation pass reuses that every epoch.
 With ``train_metrics`` on (the default, which the ``train`` command needs
 for ``train_report.csv``), each epoch also evaluates the train graph
-without dropout, reusing its own first stage; ``grid-search`` reads no
-train-graph metric, so it trains with ``train_metrics`` off and skips that
-pass.  ``backward`` stops at the first stage's weight
-gradients: nothing reads the gradient of the network input.  An epoch sums
+without dropout, reusing its own first stage.  ``compare`` and
+``grid-search`` read no train-graph metric, so their shared cell trainer,
+``experiment.run_cross_league``, turns ``train_metrics`` off and skips that
+pass.  ``backward`` stops at the first stage's weight gradients: nothing
+reads the gradient of the network input.  An epoch sums
 the basis terms, applies ReLU and updates Adam's moments in place, which
 gives the same bits as forming new arrays.
 
@@ -128,7 +129,6 @@ class TrainReport:
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = 0
-    test_accuracy: float | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -450,10 +450,10 @@ def train(
     already be labeled with the same offset as the model's convolution count.
     ``train_prop`` and ``val_prop`` are their ``build_propagator`` results
     for the model, so callers training many models on one split build them
-    once.  With ``train_metrics`` off, the epochs skip the dropout-off
-    train-graph evaluation and leave the report's ``train_loss`` and
-    ``train_acc`` empty; the weights and the validation metrics are the same
-    bits either way.
+    once.  With ``train_metrics`` off, as ``compare`` and ``grid-search``
+    train, the epochs skip the dropout-off train-graph evaluation and leave
+    the report's ``train_loss`` and ``train_acc`` empty; the weights and the
+    validation metrics are the same bits either way.
     """
     for name, g in (("train", train_graph), ("val", val_graph)):
         if g.features is None:

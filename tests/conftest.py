@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leaguewin import synth
+from leaguewin import experiment, synth
 from leaguewin.ingest import FeatureSpec
 
 
@@ -54,3 +54,11 @@ def assert_same_records(got, want):
                 assert np.array_equal(x, y, equal_nan=True), (a.team, a.game_id)
             else:
                 assert x == y, (f.name, a.team, a.game_id)
+
+
+def cross_league(records, plan, config, mode="delta", spec=None):
+    """One GCN cell through ``experiment.run_cross_league``, its test league
+    scored: (row, best model, test graph)."""
+    ((row, model, test_g),) = experiment.run_cross_league(records, plan, [(config, mode)], spec)
+    row.test_accuracy = experiment.final_test_accuracy(model, test_g)
+    return row, model, test_g

@@ -25,6 +25,7 @@ from leaguewin.graph import (
     sym_normalized,
 )
 from leaguewin.ingest import FeatureSpec, build_feature_matrix, parse_match_csv, standardize
+from conftest import cross_league
 from test_gcn import finite_difference_check
 from test_graph import brute_force_edges, _random_symmetric
 
@@ -196,7 +197,7 @@ def test_criterion_7_transfer_learning_at_desk_scale():
         )
         records = synth.generate_leagues(cfg, ["AAA", "BBB", "CCC"])
         config = gcn.TrainConfig(hidden_dims=[64], dropout=0.1, propagator_kind="gcn-cheby", seed=seed)
-        row, _, _ = experiment.run_cross_league(records, plan, config, "delta")
+        row, _, _ = cross_league(records, plan, config, "delta")
         accs.append(row.test_accuracy)
         _, _, test_g, _ = experiment.prepare_split(records, plan, "delta", 1)
         labels = test_g.labels[test_g.label_mask]

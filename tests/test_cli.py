@@ -274,6 +274,18 @@ def test_train_hidden_width_below_one_exits_1(width, season_csv, plan_json, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "grid-search", "compare"])
+def test_diverging_training_exits_1_and_writes_nothing(command, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"learning_rate": 1e300, "max_epochs": 3}))
+    out = tmp_path / "o"
+    argv = [command, "--data", str(season_csv), "--plan", str(plan_json), "--config", str(config)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main([*argv, "--out", str(out)]) == 1
+    assert "error: training loss became non-finite at epoch 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["grid-search", "compare"])
 def test_config_features_reach_grid_search_and_compare(command, season_csv, plan_json, tmp_path, capsys):
     # A feature column the CSV lacks fails the parse, so the config's feature set was read.

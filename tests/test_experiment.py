@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import cross_league
 
 from leaguewin import experiment, gcn, synth
 from leaguewin.experiment import (
@@ -31,15 +32,15 @@ def test_plan_requires_distinct_leagues():
 def test_missing_league_is_named():
     records = three_leagues()
     with pytest.raises(ValueError, match="ZZZ"):
-        run_cross_league(records, SplitPlan("AAA", "BBB", "ZZZ", 2020), gcn.TrainConfig())
+        cross_league(records, SplitPlan("AAA", "BBB", "ZZZ", 2020), gcn.TrainConfig())
 
 
 def test_transfer_fixture_beats_majority():
     records = three_leagues(seed=100)
     config = gcn.TrainConfig(hidden_dims=[64], dropout=0.1, propagator_kind="gcn-cheby", seed=0)
-    row, model, report = run_cross_league(records, PLAN, config, "delta")
+    row, model, test_g = cross_league(records, PLAN, config, "delta")
     assert row.test_accuracy >= 0.58
-    assert report.test_accuracy == row.test_accuracy
+    assert experiment.final_test_accuracy(model, test_g) == row.test_accuracy
     assert row.model == "gcn-cheby (1 layer)"
 
 
@@ -69,7 +70,7 @@ def test_shuffled_fit_leagues_score_at_chance():
             if flips[r.game_id]:
                 r.won = not r.won
         config = gcn.TrainConfig(hidden_dims=[64], dropout=0.1, propagator_kind="gcn-cheby", seed=seed)
-        row, _, _ = run_cross_league(records, PLAN, config, "delta")
+        row, _, _ = cross_league(records, PLAN, config, "delta")
         accs.append(row.test_accuracy)
     assert abs(float(np.mean(accs)) - 0.5) < 0.05
 
@@ -84,7 +85,16 @@ def test_default_grid_cardinality():
     assert len(cells) == 144
 
 
-def test_singleton_grid_matches_run_cross_league():
+def one_cell_oracle(records, config, dataset):
+    """A cell trained on its own split with train metrics on, the test league
+    scored: (row, train report)."""
+    best, report, test_g, _ = experiment.train_for_plan(records, PLAN, config, dataset)
+    row = experiment.gcn_row(config, dataset, report)
+    row.test_accuracy = experiment.final_test_accuracy(best, test_g)
+    return row, report
+
+
+def test_singleton_grid_matches_train_for_plan():
     records = three_leagues(seed=100)
     grid = {"hidden1": [32], "hidden2": [None], "dropout": [0.1], "model": ["gcn"], "dataset": ["delta"]}
     base = gcn.TrainConfig(seed=3)
@@ -93,7 +103,7 @@ def test_singleton_grid_matches_run_cross_league():
     row = report.rows[0]
     assert row.note == "winner"
     config = gcn.TrainConfig(hidden_dims=[32], dropout=0.1, propagator_kind="gcn", seed=3)
-    direct, _, _ = run_cross_league(records, PLAN, config, "delta")
+    direct, _ = one_cell_oracle(records, config, "delta")
     assert row.test_accuracy == direct.test_accuracy
     assert row.val_accuracy == direct.val_accuracy
 
@@ -136,12 +146,8 @@ def test_grid_builds_each_split_propagator_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-def test_grid_cells_on_shared_splits_match_run_cross_league():
-    # Cells that share a split must train exactly as if each built its own.
-    # The grid trains without train-graph metrics: two forward passes an
-    # epoch (the dropout pass and validation), plus the winner's test score.
-    records = three_leagues(seed=100)
-    base = gcn.TrainConfig(seed=2, max_epochs=20)
+def count_forward_passes(mp):
+    """Patch gcn.forward and gcn.train to count forward calls and epochs run."""
     counts = {"forward": 0, "epochs": 0}
     real_forward, real_train = gcn.forward, gcn.train
 
@@ -154,9 +160,19 @@ def test_grid_cells_on_shared_splits_match_run_cross_league():
         counts["epochs"] += report.epochs_run
         return model, report
 
+    mp.setattr(gcn, "forward", counting_forward)
+    mp.setattr(gcn, "train", counting_train)
+    return counts
+
+
+def test_grid_cells_on_shared_splits_match_train_for_plan():
+    # Cells that share a split must train exactly as if each built its own.
+    # The grid trains without train-graph metrics: two forward passes an
+    # epoch (the dropout pass and validation), plus the winner's test score.
+    records = three_leagues(seed=100)
+    base = gcn.TrainConfig(seed=2, max_epochs=20)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gcn, "forward", counting_forward)
-        mp.setattr(gcn, "train", counting_train)
+        counts = count_forward_passes(mp)
         report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
     assert counts["forward"] == 2 * counts["epochs"] + 1
     assert len(report.rows) == 8
@@ -164,7 +180,7 @@ def test_grid_cells_on_shared_splits_match_run_cross_league():
         config = gcn.TrainConfig(
             hidden_dims=hidden, dropout=dropout, propagator_kind=kind, seed=2, max_epochs=20
         )
-        direct, _, direct_report = run_cross_league(records, PLAN, config, dataset)
+        direct, direct_report = one_cell_oracle(records, config, dataset)
         assert len(direct_report.train_acc) == direct_report.epochs_run
         assert (row.model, row.dataset, row.params) == (direct.model, direct.dataset, direct.params)
         assert row.val_accuracy == direct.val_accuracy
@@ -194,7 +210,10 @@ def test_grid_reads_test_labels_once(monkeypatch):
     assert calls["n"] == 1
 
     calls["n"] = 0
-    run_cross_league(records, PLAN, gcn.TrainConfig(hidden_dims=[8], seed=0))
+    config = gcn.TrainConfig(hidden_dims=[8], seed=0)
+    assert len(list(run_cross_league(records, PLAN, [(config, "delta")]))) == 1
+    assert calls["n"] == 0
+    cross_league(records, PLAN, config)
     assert calls["n"] == 1
 
 
@@ -211,6 +230,41 @@ def test_compare_all_rows_and_formats():
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "model,dataset,params,val_accuracy,test_accuracy,std,note"
     assert len(csv_text.splitlines()) == 7
+
+
+def test_compare_all_trains_its_gcn_rows_on_shared_splits():
+    # Four GCN rows on three distinct splits, trained without train-graph
+    # metrics: two forward passes an epoch, plus one test score per row.
+    records = three_leagues(seed=100)
+    splits, scored = [], []
+    real_split, real_score = experiment.prepare_split, experiment.final_test_accuracy
+
+    def counting_split(records, plan, mode, convolutions, spec=None):
+        splits.append((mode, convolutions))
+        return real_split(records, plan, mode, convolutions, spec)
+
+    def counting_score(model, test_graph):
+        scored.append(model)
+        return real_score(model, test_graph)
+
+    base = gcn.TrainConfig(dropout=0.1, seed=0, max_epochs=20)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "prepare_split", counting_split)
+        mp.setattr(experiment, "final_test_accuracy", counting_score)
+        counts = count_forward_passes(mp)
+        report = compare_all(records, PLAN, base, rf_seeds=2)
+    assert sorted(splits) == [("delta", 1), ("delta", 2), ("raw", 1)]
+    assert len(scored) == 4
+    assert counts["forward"] == 2 * counts["epochs"] + 4
+    gcn_rows = [report.rows[i] for i in (0, 1, 2, 5)]
+    variants = [("gcn-cheby", [64], "raw"), ("gcn", [64], "delta"), ("gcn-cheby", [64, 64], "delta"),
+                ("gcn-cheby", [64], "delta")]
+    for row, (kind, hidden, dataset) in zip(gcn_rows, variants):
+        config = gcn.TrainConfig(dropout=0.1, seed=0, max_epochs=20, hidden_dims=hidden, propagator_kind=kind)
+        direct, _ = one_cell_oracle(records, config, dataset)
+        assert (row.model, row.dataset, row.params) == (direct.model, direct.dataset, direct.params)
+        assert row.val_accuracy == direct.val_accuracy
+        assert row.test_accuracy == direct.test_accuracy
 
 
 def test_forest_row_notes_single_class_training_data():
@@ -252,6 +306,6 @@ def test_zero_signal_rows_sit_at_chance():
     for seed in range(8):
         records = three_leagues(seed=300 + seed, skill=0.0)
         config = gcn.TrainConfig(hidden_dims=[64], dropout=0.1, propagator_kind="gcn-cheby", seed=seed)
-        row, _, _ = run_cross_league(records, PLAN, config, "delta")
+        row, _, _ = cross_league(records, PLAN, config, "delta")
         accs.append(row.test_accuracy)
     assert abs(float(np.mean(accs)) - 0.5) < 0.05

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_same_records
+from conftest import assert_same_records, cross_league
 from leaguewin import synth
 from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec, parse_match_csv
 from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues, latent_skills, win_probability
@@ -135,5 +135,5 @@ def test_noiseless_strong_signal_is_separable_for_gcn():
     records = generate_leagues(cfg, ["AAA", "BBB", "CCC"])
     plan = experiment.SplitPlan("AAA", "BBB", "CCC", 2020)
     config = gcn.TrainConfig(hidden_dims=[16], dropout=0.1, propagator_kind="gcn-cheby", seed=0)
-    row, _, _ = experiment.run_cross_league(records, plan, config, "delta")
+    row, _, _ = cross_league(records, plan, config, "delta")
     assert row.test_accuracy >= 0.95
