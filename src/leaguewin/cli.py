@@ -210,8 +210,8 @@ BUNDLE_TYPES = {
     "standardization": ('an object {"mean": numbers, "std": numbers}', _holding(("mean", "std"), _list_of(_number))),
     "model": ("an object", lambda v: isinstance(v, dict)),
 }
-# The bundle's "model" object, as gcn.model_to_json writes it.  TrainConfig
-# then checks the config's values, and model_from_json the weight shapes.
+# The bundle's "model" object, as gcn.model_to_dict writes it.  TrainConfig
+# then checks the config's values, and model_from_dict the weight shapes.
 MODEL_TYPES = {
     "schema_version": ("an integer", _integer),
     "config": ("an object", lambda v: isinstance(v, dict)),
@@ -338,11 +338,11 @@ def _cmd_train(args) -> tuple[dict, str]:
         "plan": asdict(plan),
         "feature_spec": {"features": spec.categories},
         "standardization": {k: v.tolist() for k, v in vars(stats).items()},
-        "model": json.loads(gcn.model_to_json(best)),
+        "model": gcn.model_to_dict(best),
     }
     out = Path(args.out)
     outputs = {out / "model.json": json.dumps(bundle, indent=2), out / "train_report.csv": report.to_csv()}
-    name = experiment.model_display_name(config.propagator_kind, experiment.conv_layers_of(config))
+    name = experiment.model_display_name(config.propagator_kind, gcn.n_conv_stages(config.hidden_dims))
     val_acc = report.val_acc[report.best_epoch - 1]
     return outputs, f"trained {name} best epoch {report.best_epoch}, val acc {val_acc:.4f}"
 
@@ -354,7 +354,7 @@ def _cmd_predict(args) -> tuple[dict, str]:
     _check(bundle["model"], "model", args.model_file, MODEL_TYPES, required=True)
     _check(bundle["model"]["config"], "model config", args.model_file, MODEL_CONFIG_TYPES, required=True)
     try:
-        model = gcn.model_from_json(json.dumps(bundle["model"]))
+        model = gcn.model_from_dict(bundle["model"])
     except ValueError as exc:
         raise ValueError(f"model bundle {args.model_file}: {exc}") from None
     spec = FeatureSpec(list(bundle["feature_spec"]["features"]), dict(bundle["feature_spec"]["features"]))

@@ -80,10 +80,6 @@ def model_display_name(propagator_kind: str, conv_layers: int) -> str:
     return f"{name} ({conv_layers} layer)"
 
 
-def conv_layers_of(config: gcn.TrainConfig) -> int:
-    return max(1, len(config.hidden_dims))
-
-
 def league_games(records: list[TeamGameRecord], league: str, season: int) -> list[TeamGameRecord]:
     """One league-season's regular-season games; raises naming an absent league."""
     recs = filter_regular_season(records, league, season)
@@ -139,7 +135,7 @@ def train_for_plan(
     spec: FeatureSpec | None = None,
 ):
     """Train on the plan's train/val graphs without touching test labels."""
-    convs = conv_layers_of(config)
+    convs = gcn.n_conv_stages(config.hidden_dims)
     train_g, val_g, test_g, stats = prepare_split(records, plan, mode, convs, spec)
     model = gcn.init_model(config, train_g.features.values.shape[1])
     best, report = gcn.train(model, train_g, val_g, config, *split_propagators(config, train_g, val_g))
@@ -168,12 +164,13 @@ def run_cross_league(
     # Cells differ in the split only by dataset mode and convolution count
     # (the label offset), and in its propagators only by kind and degree: each
     # distinct split, and each (split, kind) pair's propagators, is built once.
-    keys = dict.fromkeys((dataset, conv_layers_of(config)) for config, dataset in cells)
+    keys = dict.fromkeys((dataset, gcn.n_conv_stages(config.hidden_dims)) for config, dataset in cells)
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
     props = {}
     for config, dataset in cells:
-        train_g, val_g, test_g, _ = splits[dataset, conv_layers_of(config)]
-        key = (dataset, conv_layers_of(config), config.propagator_kind, config.chebyshev_degree)
+        split = (dataset, gcn.n_conv_stages(config.hidden_dims))
+        train_g, val_g, test_g, _ = splits[split]
+        key = (*split, config.propagator_kind, config.chebyshev_degree)
         if key not in props:
             props[key] = split_propagators(config, train_g, val_g)
         model = gcn.init_model(config, train_g.features.values.shape[1])
@@ -185,7 +182,7 @@ def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> E
     """A trained GCN's row: its config and best-epoch validation accuracy;
     its test accuracy stays None until the test league is scored."""
     return ExperimentRow(
-        model=model_display_name(config.propagator_kind, conv_layers_of(config)),
+        model=model_display_name(config.propagator_kind, gcn.n_conv_stages(config.hidden_dims)),
         dataset=dataset,
         params={
             "hidden_dims": list(config.hidden_dims),

@@ -1,25 +1,27 @@
 """Sparse-propagation graph convolutional classifier with manual backprop.
 
-Layer rule: hidden stages compute relu(sum_k P_k X W_k) over the propagator
-basis (one matrix for the normalized adjacency, K+1 for a Chebyshev basis);
-the final stage is a plain dense map to two logits, so the receptive field
-is exactly the number of convolution stages.  Dropout is applied to every
-stage input during training with inverted 1/(1-p) scaling.
+One stage rule: a stage multiplies its input H by each operator B_k of its
+basis and sums the products times the weights, sum_k (B_k H) W_k, followed
+by ReLU on all but the last stage.  A basis is the normalized adjacency, or
+Chebyshev T0..TK with T0 = I as None, the identity, which passes H through.
+All stages but a multi-stage model's last one convolve (``n_conv_stages``);
+that last one's basis is [None], a dense map to the two logits, so the
+receptive field is exactly the number of convolution stages.  Dropout is
+applied to every stage input during training with inverted 1/(1-p) scaling.
 
 Propagation multiplies by the propagator's own CSR matrices, and only the
-products a result needs are formed.  A Chebyshev basis's T0 = I is applied
-as the identity.  ``train`` takes both graphs' propagators, built once by
-the caller, and propagates the validation graph's features through the
-first stage once; the dropout-off validation pass reuses that every epoch.
-With ``train_metrics`` on (the default, which the ``train`` command needs
-for ``train_report.csv``), each epoch also evaluates the train graph
-without dropout, reusing its own first stage.  ``compare`` and
-``grid-search`` read no train-graph metric, so their shared cell trainer,
-``experiment.run_cross_league``, turns ``train_metrics`` off and skips that
-pass.  ``backward`` stops at the first stage's weight gradients: nothing
-reads the gradient of the network input.  An epoch sums
-the basis terms, applies ReLU and updates Adam's moments in place, which
-gives the same bits as forming new arrays.
+products a result needs are formed.  ``train`` takes both graphs'
+propagators, built once by the caller, and propagates the validation
+graph's features through the first stage once; the dropout-off validation
+pass reuses that every epoch.  With ``train_metrics`` on (the default,
+which the ``train`` command needs for ``train_report.csv``), each epoch
+also evaluates the train graph without dropout, reusing its own first
+stage.  ``compare`` and ``grid-search`` read no train-graph metric, so
+their shared cell trainer, ``experiment.run_cross_league``, turns
+``train_metrics`` off and skips that pass.  ``backward`` stops at the first
+stage's weight gradients: nothing reads the gradient of the network input.
+An epoch sums the basis terms, applies ReLU and updates Adam's moments in
+place, which gives the same bits as forming new arrays.
 
 BLAS threads: ``train`` runs with numpy's bundled OpenBLAS capped at one
 thread, and restores the previous count when it returns or raises.  The
@@ -43,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -114,9 +115,7 @@ class GcnModel:
 
     @property
     def conv_stages(self) -> int:
-        # All stages but the final dense one propagate; a single-stage model
-        # is one bare convolution.
-        return max(1, self.n_stages - 1)
+        return n_conv_stages(self.layer_dims[1:-1])
 
     def copy_weights(self) -> list[list[np.ndarray]]:
         return [[w.copy() for w in stage] for stage in self.weights]
@@ -151,10 +150,16 @@ def n_basis(propagator_kind: str, chebyshev_degree: int) -> int:
     return chebyshev_degree + 1 if propagator_kind == lg.CHEBYSHEV else 1
 
 
-def _stage_matrices(n_stages: int, k: int) -> list[int]:
-    """Each stage's weight-matrix count: ``k`` (one per basis element) for a
-    convolution, 1 for the final dense stage of a multi-stage model."""
-    return [k if (s < n_stages - 1 or n_stages == 1) else 1 for s in range(n_stages)]
+def n_conv_stages(hidden_dims: list[int]) -> int:
+    """How many stages convolve: all but a multi-stage model's last one,
+    which is dense.  A model without hidden layers is one convolution."""
+    return max(1, len(hidden_dims))
+
+
+def _stage_bases(hidden_dims: list[int], basis: list) -> list[list]:
+    """Each stage's basis: ``basis`` to convolve, [None] (the identity) for a final dense stage."""
+    convs = n_conv_stages(hidden_dims)
+    return [basis] * convs + [[None]] * (len(hidden_dims) + 1 - convs)
 
 
 def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
@@ -165,12 +170,10 @@ def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
     rng = np.random.default_rng(config.seed)
     k = n_basis(config.propagator_kind, config.chebyshev_degree)
     weights = []
-    for s, per_basis in enumerate(_stage_matrices(len(dims) - 1, k)):
+    for s, basis in enumerate(_stage_bases(config.hidden_dims, [None] * k)):  # only its size matters
         fan_in, fan_out = dims[s], dims[s + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(
-            [rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in range(per_basis)]
-        )
+        weights.append([rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in basis])
     return GcnModel(
         layer_dims=dims,
         weights=weights,
@@ -197,20 +200,17 @@ def dense_propagator(propagator: lg.Propagator | list[np.ndarray]) -> list[np.nd
     return [np.asarray(m, dtype=np.float64) for m in propagator]
 
 
-def _basis(model: GcnModel, propagator: lg.Propagator) -> list[sp.csr_matrix]:
-    """The CSR matrices the layer multiplies by: a Chebyshev basis gives
-    T1..TK, as its T0 = I is applied as the identity."""
+def _model_bases(model: GcnModel, propagator: lg.Propagator) -> list[list[sp.csr_matrix | None]]:
+    """The model's stage bases on ``propagator``'s graph; a Chebyshev T0 = I is None."""
     if propagator.kind != model.propagator_kind:
         raise ValueError(f"a {model.propagator_kind} model was given a {propagator.kind} propagator")
-    return propagator.matrices[1:] if propagator.kind == lg.CHEBYSHEV else propagator.matrices
+    basis = [None, *propagator.matrices[1:]] if propagator.kind == lg.CHEBYSHEV else propagator.matrices
+    return _stage_bases(model.layer_dims[1:-1], basis)
 
 
-def _apply_basis(model: GcnModel, mats: list[sp.csr_matrix], hs: list[np.ndarray]) -> list[np.ndarray]:
-    """[B_k @ hs[k]] over the model's basis; a Chebyshev T0 = I passes hs[0] through."""
-    skip = 1 if model.propagator_kind == lg.CHEBYSHEV else 0
-    if len(hs) != skip + len(mats):
-        raise ValueError(f"basis size mismatch: {len(mats)} basis matrices for {len(hs)} terms")
-    return hs[:skip] + [p @ h for p, h in zip(mats, hs[skip:])]
+def _apply(basis: list[sp.csr_matrix | None], terms: list[np.ndarray]) -> list[np.ndarray]:
+    """[B_k @ terms[k]] over ``basis``; None, the identity, passes its term through."""
+    return [h if b is None else b @ h for b, h in zip(basis, terms)]
 
 
 def forward(
@@ -229,7 +229,7 @@ def forward(
     ``first_stage`` is the basis applied to ``x``, computed once by the
     caller; a pass without dropout reuses it for the first stage.
     """
-    mats = _basis(model, propagator)
+    bases = _model_bases(model, propagator)
     n = propagator.matrices[0].shape[0]
     if x.shape[0] != n:
         raise ValueError(f"propagator is {n}x{n} but features have {x.shape[0]} rows")
@@ -245,8 +245,9 @@ def forward(
 
     h = np.asarray(x, dtype=np.float64)
     stages = []
-    n_stages = model.n_stages
-    for s, stage_weights in enumerate(model.weights):
+    for s, (basis, stage_weights) in enumerate(zip(bases, model.weights)):
+        if len(stage_weights) != len(basis):
+            raise ValueError(f"stage {s}: basis size mismatch")
         mask = None
         if use_dropout:
             if dropout_masks is not None:
@@ -255,26 +256,15 @@ def forward(
                 keep = rng.random(h.shape) >= model.dropout
                 mask = keep / (1.0 - model.dropout)
         h_in = h * mask if mask is not None else h
-        is_conv = s < n_stages - 1 or n_stages == 1
-        if is_conv:
-            expected = n_basis(model.propagator_kind, model.chebyshev_degree)
-            if len(stage_weights) != expected:
-                raise ValueError(f"stage {s}: basis size mismatch")
-            if s == 0 and first_stage is not None:
-                ph = first_stage
-            else:
-                ph = _apply_basis(model, mats, [h_in] * expected)
-            z = ph[0] @ stage_weights[0]
-            for ph_k, w_k in zip(ph[1:], stage_weights[1:]):
-                z += ph_k @ w_k
-        else:
-            ph = None
-            z = h_in @ stage_weights[0]
-        if s < n_stages - 1:
+        ph = first_stage if s == 0 and first_stage is not None else _apply(basis, [h_in] * len(basis))
+        z = ph[0] @ stage_weights[0]
+        for ph_k, w_k in zip(ph[1:], stage_weights[1:]):
+            z += ph_k @ w_k
+        if s < model.n_stages - 1:
             np.maximum(z, 0.0, out=z)  # backward's z > 0 reads the same bits
-        stages.append({"h_in": h_in, "ph": ph, "z": z, "mask": mask, "is_conv": is_conv})
+        stages.append({"ph": ph, "z": z, "mask": mask})
         h = z
-    cache = {"stages": stages, "logits": h, "mats": mats, "model": model}
+    cache = {"stages": stages, "logits": h, "bases": bases, "model": model}
     return h, cache
 
 
@@ -336,7 +326,7 @@ def backward(
 ) -> list[list[np.ndarray]]:
     """Analytic gradients of masked_loss for every weight matrix."""
     model: GcnModel = cache["model"]
-    mats = cache["mats"]
+    bases = cache["bases"]
     stages = cache["stages"]
     logits = cache["logits"]
     idx, y = _label_index(labels, mask)
@@ -353,19 +343,12 @@ def backward(
         st = stages[s]
         if st["z"].shape != dz.shape:
             raise ValueError(f"stage {s}: cache shape drift")
-        if st["is_conv"]:
-            grads[s] = [ph_k.T @ dz for ph_k in st["ph"]]
-        else:
-            grads[s] = [st["h_in"].T @ dz]
+        grads[s] = [ph_k.T @ dz for ph_k in st["ph"]]
         if s == 0:
             break  # nothing reads the gradient of the network input
-        back = [dz @ w.T for w in model.weights[s]]
-        if st["is_conv"]:
-            dh, *terms = _apply_basis(model, mats, back)
-            for term in terms:
-                dh += term
-        else:
-            (dh,) = back
+        dh, *terms = _apply(bases[s], [dz @ w.T for w in model.weights[s]])
+        for term in terms:
+            dh += term
         if st["mask"] is not None:
             dh *= st["mask"]
         dh *= stages[s - 1]["z"] > 0
@@ -467,10 +450,10 @@ def train(
     train_labelled = _label_index(train_graph.labels, train_graph.label_mask)
     val_labelled = _label_index(val_graph.labels, val_graph.label_mask)
     # The dropout-off passes see the same first-stage input every epoch.
-    k = n_basis(model.propagator_kind, model.chebyshev_degree)
+    basis = _model_bases(model, val_prop)[0]
+    first_val = _apply(basis, [x_val] * len(basis))
     if train_metrics:
-        first_train = _apply_basis(model, _basis(model, train_prop), [x_train] * k)
-    first_val = _apply_basis(model, _basis(model, val_prop), [x_val] * k)
+        first_train = _apply(_model_bases(model, train_prop)[0], [x_train] * len(basis))
 
     rng = np.random.default_rng(config.seed)
     m_state = [[np.zeros_like(w) for w in stage] for stage in model.weights]
@@ -529,8 +512,9 @@ def predict(model: GcnModel, g: lg.LeagueGraph) -> np.ndarray:
     return softmax(logits)[:, 1]
 
 
-def model_to_json(model: GcnModel) -> str:
-    doc = {
+def model_to_dict(model: GcnModel) -> dict:
+    """The model as a JSON-ready object, the model bundle's ``"model"``."""
+    return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "config": {
             "dropout": model.dropout,
@@ -538,14 +522,13 @@ def model_to_json(model: GcnModel) -> str:
             "chebyshev_degree": model.chebyshev_degree,
             "rng_seed": model.rng_seed,
         },
-        "layer_dims": model.layer_dims,
+        "layer_dims": list(model.layer_dims),
         "weights": [[w.tolist() for w in stage] for stage in model.weights],
     }
-    return json.dumps(doc)
 
 
-def model_from_json(text: str) -> GcnModel:
-    doc = json.loads(text)
+def model_from_dict(doc: dict) -> GcnModel:
+    """The model ``model_to_dict`` wrote; raises on an invalid config value or weight shape."""
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
     cfg = doc["config"]
@@ -559,8 +542,8 @@ def model_from_json(text: str) -> GcnModel:
     weights = [
         [np.array(w, dtype=np.float64) for w in stage] for stage in doc["weights"]
     ]
-    counts = _stage_matrices(len(dims) - 1, n_basis(config.propagator_kind, config.chebyshev_degree))
-    expected = [[(dims[s], dims[s + 1])] * count for s, count in enumerate(counts)]
+    bases = _stage_bases(dims[1:-1], [None] * n_basis(config.propagator_kind, config.chebyshev_degree))
+    expected = [[shape] * len(basis) for shape, basis in zip(zip(dims, dims[1:]), bases)]
     shapes = [[w.shape for w in stage] for stage in weights]
     for s, (got, want) in enumerate(zip_longest(shapes, expected, fillvalue=[])):
         if got != want:

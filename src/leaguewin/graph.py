@@ -216,35 +216,6 @@ def assign_labels(graph: LeagueGraph, convolutions: int) -> LeagueGraph:
     return replace(graph, labels=labels, label_mask=mask)
 
 
-def label_source_node(graph: LeagueGraph, node: int, convolutions: int) -> int | None:
-    """Node whose own game provided ``node``'s label, if any."""
-    team, _, idx = graph.nodes[node]
-    for n, (t, _, i) in enumerate(graph.nodes):
-        if t == team and i == idx + convolutions + 1:
-            return n
-    return None
-
-
-def receptive_field(graph: LeagueGraph, node: int, hops: int) -> set[int]:
-    """Breadth-first set of nodes within ``hops`` edges, node included."""
-    if not 0 <= node < graph.n_nodes:
-        raise ValueError(f"node {node} outside graph")
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    seen = {node}
-    frontier = [node]
-    for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if v not in seen:
-                    seen.add(int(v))
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
-
-
 def graph_to_json(graph: LeagueGraph) -> str:
     doc = {
         "schema_version": GRAPH_SCHEMA_VERSION,

@@ -84,7 +84,6 @@ class TeamGameRecord:
     game_id: str
     league: str
     season: int
-    game_index_in_season: int
     team: str
     opponent: str
     timestamp: datetime
@@ -217,7 +216,6 @@ def parse_match_csv(
                 game_id=row[col["gameid"]].strip(),
                 league=row[col["league"]].strip(),
                 season=int(row[col["season"]]),
-                game_index_in_season=-1,
                 team=row[col["team"]].strip(),
                 opponent=row[col["opponent"]].strip(),
                 timestamp=_parse_timestamp(row[col["date"]]),
@@ -244,7 +242,6 @@ def parse_match_csv(
 
     _validate_pairs(records)
     records.sort(key=record_sort_key)
-    _assign_game_indices(records)
     report.records_parsed = len(records)
     return records
 
@@ -292,7 +289,8 @@ def _validate_pairs(records: list[TeamGameRecord]) -> None:
             and a.won != b.won
             and a.kills == b.opponent_kills
             and b.kills == a.opponent_kills
-            and (a.league, a.season, a.timestamp) == (b.league, b.season, b.timestamp)
+            and (a.league, a.season, a.timestamp, a.is_regular_season)
+            == (b.league, b.season, b.timestamp, b.is_regular_season)
         )
         if not ok:
             bad.append(g)
@@ -302,19 +300,6 @@ def _validate_pairs(records: list[TeamGameRecord]) -> None:
             f"{len(bad)} game id(s) with inconsistent paired rows: " + ", ".join(bad[:10]),
             bad,
         )
-
-
-def _assign_game_indices(records: list[TeamGameRecord]) -> None:
-    # Global chronological game order within each (league, season).
-    index: dict[tuple[str, int, str], int] = {}
-    counters: dict[tuple[str, int], int] = {}
-    for r in records:
-        key = (r.league, r.season, r.game_id)
-        if key not in index:
-            n = counters.get(key[:2], 0)
-            index[key] = n
-            counters[key[:2]] = n + 1
-        r.game_index_in_season = index[key]
 
 
 def filter_regular_season(

@@ -55,19 +55,8 @@ def _sigmoid(x: float) -> float:
     return 1.0 - _sigmoid(-x)
 
 
-def win_probability(skill_a: float, skill_b: float) -> float:
-    """Bradley-Terry chance that the first team wins."""
-    return _sigmoid(skill_a - skill_b)
-
-
 def team_names(config: SynthConfig) -> list[str]:
     return [f"{config.league}-T{i:02d}" for i in range(config.n_teams)]
-
-
-def latent_skills(config: SynthConfig) -> np.ndarray:
-    """The skill vector a generation run will use (first draws of its rng)."""
-    rng = np.random.default_rng(config.seed)
-    return rng.normal(0.0, config.latent_skill_std, size=config.n_teams)
 
 
 def generate_league(config: SynthConfig) -> list[TeamGameRecord]:
@@ -145,7 +134,6 @@ def _simulate_game(rng, config, season, game_no, ts, teams, skills, i, j, coefs,
                 game_id=game_id,
                 league=config.league,
                 season=season,
-                game_index_in_season=game_no,
                 team=teams[side],
                 opponent=teams[opp],
                 timestamp=ts,

@@ -19,13 +19,12 @@ from leaguewin.graph import (
     assign_labels,
     build_league_graph,
     chebyshev_basis,
-    label_source_node,
     normalized_adjacency,
-    receptive_field,
     sym_normalized,
 )
 from leaguewin.ingest import FeatureSpec, build_feature_matrix, parse_match_csv, standardize
 from conftest import cross_league
+from oracles import label_source_node, receptive_field
 from test_gcn import finite_difference_check
 from test_graph import brute_force_edges, _random_symmetric
 
@@ -63,8 +62,8 @@ def test_criterion_2_graph_construction_oracle():
         max_pairings = max(1, 60 // (n_teams * (n_teams - 1) // 2))
         games_per_pair = int(rng.integers(1, max_pairings + 1))
         cfg = synth.SynthConfig(n_teams=n_teams, games_per_pair=games_per_pair, seed=int(rng.integers(0, 2**31)))
-        # Chronological prefix keeps pairs intact while capping at 60 games.
-        records = [r for r in synth.generate_league(cfg) if r.game_index_in_season < 60]
+        # Records are sorted and paired, so a prefix of 120 is the first 60 games.
+        records = synth.generate_league(cfg)[:120]
         assert len(records) <= 120
         g = build_league_graph(records)
         nodes, edges = brute_force_edges(records)

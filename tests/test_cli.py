@@ -72,6 +72,20 @@ def test_malformed_csv_line_exits_1_naming_it(line, damage, message, season_csv,
     assert not out.exists()
 
 
+def test_pair_disagreeing_on_regular_season_exits_1(season_csv, tmp_path, capsys):
+    lines = season_csv.read_text().splitlines()
+    flag = lines[0].split(",").index("is_regular_season")
+    n = next(i for i, line in enumerate(lines) if line.startswith("AAA-2020-"))
+    row = lines[n].split(",")
+    row[flag] = "0"  # its other row still says 1
+    lines[n] = ",".join(row)
+    season_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert cli_main(["ingest", "--data", str(season_csv), "--out", str(out)]) == 1
+    assert f"error: 1 game id(s) with inconsistent paired rows: {row[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_league_exits_1(season_csv, tmp_path, capsys):
     plan = tmp_path / "badplan.json"
     plan.write_text(json.dumps({"train_league": "AAA", "val_league": "BBB", "test_league": "ZZZ", "season": 2020}))

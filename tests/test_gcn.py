@@ -19,14 +19,15 @@ from leaguewin.gcn import (
     init_model,
     masked_accuracy,
     masked_loss,
-    model_from_json,
-    model_to_json,
+    model_from_dict,
+    model_to_dict,
     predict,
     softmax,
     train,
 )
 from leaguewin.graph import CHEBYSHEV, assign_labels, build_league_graph, chebyshev_basis, normalized_adjacency
 from leaguewin.ingest import FeatureSpec, build_feature_matrix, standardize
+from oracles import receptive_field
 from test_graph import _edgeless_graph, game
 
 UTC = timezone.utc
@@ -274,7 +275,6 @@ def test_mask_isolation_outside_receptive_field():
     spec = FeatureSpec(["towers"], {"towers": "objectives"})
     matrix = standardize(build_feature_matrix(records, spec, "delta"))
     g = assign_labels(build_league_graph(records, features=matrix), 1)
-    from leaguewin.graph import receptive_field
 
     masked = np.flatnonzero(g.label_mask)
     covered = set().union(*(receptive_field(g, int(n), 1) for n in masked))
@@ -680,7 +680,7 @@ def test_forward_shape_mismatch_raises():
 
 def test_model_json_round_trip():
     model = init_model(TrainConfig(hidden_dims=[5], propagator_kind="gcn-cheby", seed=3), 7)
-    back = model_from_json(model_to_json(model))
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     assert back.layer_dims == model.layer_dims
     assert back.propagator_kind == model.propagator_kind
     for sa, sb in zip(model.weights, back.weights):
@@ -689,12 +689,12 @@ def test_model_json_round_trip():
 
 
 
-def _edited_model_json(edit) -> str:
+def _edited_model_dict(edit) -> dict:
     # Chebyshev degree 2, two convolutions: stages of 3, 3 and 1 matrices.
     model = init_model(TrainConfig(hidden_dims=[5, 4], propagator_kind="gcn-cheby", chebyshev_degree=2), 7)
-    doc = json.loads(model_to_json(model))
+    doc = model_to_dict(model)
     edit(doc["weights"])
-    return json.dumps(doc)
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -712,7 +712,7 @@ def _edited_model_json(edit) -> str:
 def test_model_json_weights_must_match_layer_dims(edit, stage, got, want):
     message = f"model stage {stage} has weight shapes {got}, but layer_dims [7, 5, 4, 2] needs {want}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        model_from_json(_edited_model_json(edit))
+        model_from_dict(_edited_model_dict(edit))
 
 def test_train_report_csv_format():
     report = gcn.TrainReport(train_loss=[0.5], train_acc=[0.6], val_loss=[0.7], val_acc=[0.8], best_epoch=1)

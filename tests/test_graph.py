@@ -14,19 +14,18 @@ from leaguewin.graph import (
     chebyshev_basis,
     edge_list_text,
     graph_to_json,
-    label_source_node,
     normalized_adjacency,
-    receptive_field,
     sym_normalized,
 )
 from leaguewin.ingest import TeamGameRecord
+from oracles import label_source_node, receptive_field
 
 UTC = timezone.utc
 
 
 def rec(game_id, team, opponent, won, ts, league="LPL", season=2020):
     return TeamGameRecord(
-        game_id, league, season, 0, team, opponent, ts, won, 10 if won else 5,
+        game_id, league, season, team, opponent, ts, won, 10 if won else 5,
         5 if won else 10, np.array([1.0]),  # spec ["towers"]
     )
 

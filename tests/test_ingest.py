@@ -44,7 +44,6 @@ def test_minimal_pairing_case(default_spec):
     by_team = {r.team: r for r in records}
     assert by_team["A"].won and not by_team["B"].won
     assert by_team["A"].kills == by_team["B"].opponent_kills == 10
-    assert by_team["A"].game_index_in_season == 0
 
 
 def test_unpaired_game_raises(default_spec):
@@ -64,6 +63,19 @@ def test_inconsistent_pair_raises(default_spec):
     )
     with pytest.raises(PairingError):
         parse_match_csv(data, default_spec)
+
+
+def test_pair_disagreeing_on_regular_season_raises(default_spec):
+    header = (
+        "gameid,league,season,date,team,opponent,result,kills,opponent_kills,"
+        + ",".join(n for n in default_spec.names if n != "kills")
+        + ",is_regular_season"
+    )
+    # One side calls the game a playoff game, the other a regular-season one.
+    rows = [minimal_row("g1", "A", "B", 1, 10, 5) + ",1", minimal_row("g1", "B", "A", 0, 5, 10) + ",0"]
+    with pytest.raises(PairingError, match="inconsistent paired rows: g1") as err:
+        parse_match_csv(make_csv(rows, header), default_spec)
+    assert err.value.game_ids == ["g1"]
 
 
 def test_missing_column_named(default_spec):
@@ -254,8 +266,8 @@ def _two_record_game(gold_a, gold_b):
 
     ts = datetime(2020, 1, 5, tzinfo=timezone.utc)
     return [
-        TeamGameRecord("g1", "LPL", 2020, 0, "A", "B", ts, True, 10, 5, np.array([gold_a])),
-        TeamGameRecord("g1", "LPL", 2020, 0, "B", "A", ts, False, 5, 10, np.array([gold_b])),
+        TeamGameRecord("g1", "LPL", 2020, "A", "B", ts, True, 10, 5, np.array([gold_a])),
+        TeamGameRecord("g1", "LPL", 2020, "B", "A", ts, False, 5, 10, np.array([gold_b])),
     ]
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_records, cross_league
+from oracles import latent_skills, win_probability
 from leaguewin import synth
 from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec, parse_match_csv
-from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues, latent_skills, win_probability
+from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues
 
 
 def test_game_and_record_counts():
