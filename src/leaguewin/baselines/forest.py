@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..ingest import FeatureSpec, TeamGameRecord, build_feature_matrix
+from ..ingest import FeatureSpec, TeamGameRecord, build_feature_matrix, feature_row_key
 
 
 @dataclass
@@ -58,7 +58,7 @@ def lookback_dataset(
     if spec is None:
         spec = FeatureSpec.default()
     matrix = build_feature_matrix(records, spec, mode)
-    ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
+    ordered = sorted(records, key=feature_row_key)
     history: dict[str, list[int]] = {}
     rows, labels, keys = [], [], []
     for i, r in enumerate(ordered):

@@ -8,6 +8,7 @@ margin is the winner's kill count minus the loser's.
 
 from __future__ import annotations
 
+import math
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
@@ -18,12 +19,14 @@ import numpy as np
 from .. import kernels
 from ..ingest import TeamGameRecord
 
-MOV_CODES = {
-    "none": kernels.MOV_NONE,
-    "lin": kernels.MOV_LIN,
-    "exp": kernels.MOV_EXP,
-    "log": kernels.MOV_LOG,
-    "sqrt": kernels.MOV_SQRT,
+# Each MoV function g(d, w90) = 1 + f(d)/f(w90) by name: g(0) = 1 for
+# lin/log/sqrt, g(w90) = 2, so w90 is the margin at which K doubles.
+MOV_FUNCTIONS = {
+    "none": lambda d, w90: 1.0,
+    "lin": lambda d, w90: 1.0 + d / w90,
+    "exp": lambda d, w90: 1.0 + (math.exp(d / w90) - 1.0) / (math.e - 1.0),
+    "log": lambda d, w90: 1.0 + math.log1p(d) / math.log1p(w90),
+    "sqrt": lambda d, w90: 1.0 + math.sqrt(d) / math.sqrt(w90),
 }
 
 # Lattice order doubles as the deterministic tie-break order in grid search.
@@ -45,8 +48,8 @@ class ScopeConfig:
             raise ValueError("base_k must be >= 0")
         if not 0.0 <= self.reduction < 1.0:
             raise ValueError("reduction must lie in [0, 1)")
-        if self.mov_func not in MOV_CODES:
-            raise ValueError(f"mov_func must be one of {sorted(MOV_CODES)}")
+        if self.mov_func not in MOV_FUNCTIONS:
+            raise ValueError(f"mov_func must be one of {sorted(MOV_FUNCTIONS)}")
         if self.mov_func != "none" and self.w90 <= 0:
             raise ValueError("w90 must be positive when a MoV function is set")
         if not 0.0 <= self.regression <= 1.0:
@@ -87,7 +90,7 @@ def mov_multiplier(kill_diff: float, config: ScopeConfig) -> float:
         raise ValueError("kill_diff must be >= 0")
     if config.mov_func != "none" and config.w90 <= 0:
         raise ValueError("w90 must be positive when a MoV function is set")
-    return kernels._mov_multiplier(float(kill_diff), MOV_CODES[config.mov_func], config.w90)
+    return MOV_FUNCTIONS[config.mov_func](float(kill_diff), config.w90)
 
 
 def scope_update(state: ScopeState, game: GameResult, config: ScopeConfig) -> ScopeState:
@@ -144,13 +147,13 @@ class _Lattice:
     keep: np.ndarray  # 1 - reduction
     regression: np.ndarray
     initial: np.ndarray
-    mov_pairs: list[tuple[int, float]]  # distinct (MoV code, w90) pairs
+    mov_pairs: list[tuple[str, float]]  # distinct (mov_func, w90) pairs
     mov_group: np.ndarray  # each config's index into mov_pairs
 
 
 def _lattice(configs: list[ScopeConfig]) -> _Lattice:
-    pairs: dict[tuple[int, float], int] = {}
-    group = [pairs.setdefault((MOV_CODES[c.mov_func], c.w90), len(pairs)) for c in configs]
+    pairs: dict[tuple[str, float], int] = {}
+    group = [pairs.setdefault((c.mov_func, c.w90), len(pairs)) for c in configs]
 
     def vector(values) -> np.ndarray:
         return np.array(list(values), dtype=np.float64)
@@ -186,7 +189,7 @@ def _lattice_pass(
     team_idx = np.array([teams[g.team] for g in games], dtype=np.int64)
     opp_idx = np.array([teams[g.opponent] for g in games], dtype=np.int64)
     team_won = np.array([1 if g.winner == g.team else 0 for g in games], dtype=np.uint8)
-    mov = kernels.mov_table([g.kill_diff for g in games], lattice.mov_pairs)
+    mov = np.array([[MOV_FUNCTIONS[f](float(g.kill_diff), w90) for f, w90 in lattice.mov_pairs] for g in games])
     return kernels.scope_pass(
         team_idx, opp_idx, team_won, mov, lattice.mov_group, ratings,
         lattice.base_k, lattice.cutoff, lattice.keep, score_from,

@@ -8,7 +8,9 @@ replayed exactly.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
@@ -204,7 +206,7 @@ PLAN_TYPES = _fields_of(experiment.SplitPlan)
 # predict's --model-file, as train writes it.
 BUNDLE_TYPES = {
     "schema_version": ("an integer", _integer),
-    "mode": _ANNOTATED["str"],
+    "mode": ("'raw' or 'delta'", lambda v: v in OPTIONS["mode"]["choices"]),  # as train's --mode
     "plan": ("an object", lambda v: isinstance(v, dict)),
     "feature_spec": ('an object {"features": feature name -> category}', _holding(("features",), _object_of(_string))),
     "standardization": ('an object {"mean": numbers, "std": numbers}', _holding(("mean", "std"), _list_of(_number))),
@@ -359,14 +361,16 @@ def _cmd_predict(args) -> tuple[dict, str]:
         raise ValueError(f"model bundle {args.model_file}: {exc}") from None
     spec = FeatureSpec(list(bundle["feature_spec"]["features"]), dict(bundle["feature_spec"]["features"]))
     stats = ColumnStats(**{k: np.array(v, dtype=np.float64) for k, v in bundle["standardization"].items()})
-    g, _ = experiment.league_graph_for(
+    g = experiment.league_graph_for(
         _records(args, spec), args.league, args.season, spec, bundle["mode"], model.conv_stages, stats
     )
     probs = gcn.predict(model, g)
-    rows = [f"{team},{game_id},{idx},{float(p)!r}" for (team, game_id, idx), p in zip(g.nodes, probs)]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["team", "game_id", "team_game_index", "p_win"])
+    writer.writerows([team, game_id, idx, repr(float(p))] for (team, game_id, idx), p in zip(g.nodes, probs))
     pred_path = Path(args.out) / "predictions.csv"
-    table = "\n".join(["team,game_id,team_game_index,p_win", *rows]) + "\n"
-    return {pred_path: table}, f"wrote {len(probs)} predictions to {pred_path}"
+    return {pred_path: table.getvalue()}, f"wrote {len(probs)} predictions to {pred_path}"
 
 
 def _cmd_grid_search(args) -> tuple[dict, str]:

@@ -97,11 +97,10 @@ def league_graph_for(
     convolutions: int,
     stats=None,
 ):
-    """Build one league's labeled graph; returns (graph, standardization stats)."""
+    """One league's labeled graph, standardized by ``stats`` (None: its own)."""
     recs = league_games(records, league, season)
     matrix = standardize(build_feature_matrix(recs, spec, mode), stats)
-    g = lg.build_league_graph(recs, features=matrix)
-    return lg.assign_labels(g, convolutions), matrix.standardization_stats
+    return lg.assign_labels(lg.build_league_graph(recs, features=matrix), convolutions)
 
 
 def prepare_split(
@@ -114,10 +113,11 @@ def prepare_split(
     """Three labeled graphs with val/test standardized by training-league stats."""
     if spec is None:
         spec = FeatureSpec.default()
-    train_g, stats = league_graph_for(records, plan.train_league, plan.season, spec, mode, convolutions)
-    val_g, _ = league_graph_for(records, plan.val_league, plan.season, spec, mode, convolutions, stats)
-    test_g, _ = league_graph_for(records, plan.test_league, plan.season, spec, mode, convolutions, stats)
-    return train_g, val_g, test_g, stats
+    train_g = league_graph_for(records, plan.train_league, plan.season, spec, mode, convolutions)
+    stats = train_g.features.standardization_stats
+    val_g = league_graph_for(records, plan.val_league, plan.season, spec, mode, convolutions, stats)
+    test_g = league_graph_for(records, plan.test_league, plan.season, spec, mode, convolutions, stats)
+    return train_g, val_g, test_g
 
 
 def final_test_accuracy(model: gcn.GcnModel, test_graph: lg.LeagueGraph) -> float:
@@ -136,17 +136,10 @@ def train_for_plan(
 ):
     """Train on the plan's train/val graphs without touching test labels."""
     convs = gcn.n_conv_stages(config.hidden_dims)
-    train_g, val_g, test_g, stats = prepare_split(records, plan, mode, convs, spec)
+    train_g, val_g, test_g = prepare_split(records, plan, mode, convs, spec)
     model = gcn.init_model(config, train_g.features.values.shape[1])
-    best, report = gcn.train(model, train_g, val_g, config, *split_propagators(config, train_g, val_g))
-    return best, report, test_g, stats
-
-
-def split_propagators(
-    config: gcn.TrainConfig, train_g: lg.LeagueGraph, val_g: lg.LeagueGraph
-) -> list[lg.Propagator]:
-    """The train and validation graphs' propagators for ``config``'s model."""
-    return [gcn.build_propagator(g, config.propagator_kind, config.chebyshev_degree) for g in (train_g, val_g)]
+    best, report = gcn.train(model, train_g, val_g, config)
+    return best, report, test_g, train_g.features.standardization_stats
 
 
 def run_cross_league(
@@ -162,19 +155,14 @@ def run_cross_league(
     caller that keeps one winner holds one model, not one per cell.
     """
     # Cells differ in the split only by dataset mode and convolution count
-    # (the label offset), and in its propagators only by kind and degree: each
-    # distinct split, and each (split, kind) pair's propagators, is built once.
+    # (the label offset): each distinct split is built once, and its graphs
+    # keep their propagators, so each (split, kind) pair builds them once.
     keys = dict.fromkeys((dataset, gcn.n_conv_stages(config.hidden_dims)) for config, dataset in cells)
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
-    props = {}
     for config, dataset in cells:
-        split = (dataset, gcn.n_conv_stages(config.hidden_dims))
-        train_g, val_g, test_g, _ = splits[split]
-        key = (*split, config.propagator_kind, config.chebyshev_degree)
-        if key not in props:
-            props[key] = split_propagators(config, train_g, val_g)
+        train_g, val_g, test_g = splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]
         model = gcn.init_model(config, train_g.features.values.shape[1])
-        model, report = gcn.train(model, train_g, val_g, config, *props[key], train_metrics=False)
+        model, report = gcn.train(model, train_g, val_g, config, train_metrics=False)
         yield gcn_row(config, dataset, report), model, test_g
 
 

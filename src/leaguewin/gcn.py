@@ -10,18 +10,19 @@ receptive field is exactly the number of convolution stages.  Dropout is
 applied to every stage input during training with inverted 1/(1-p) scaling.
 
 Propagation multiplies by the propagator's own CSR matrices, and only the
-products a result needs are formed.  ``train`` takes both graphs'
-propagators, built once by the caller, and propagates the validation
-graph's features through the first stage once; the dropout-off validation
-pass reuses that every epoch.  With ``train_metrics`` on (the default,
-which the ``train`` command needs for ``train_report.csv``), each epoch
-also evaluates the train graph without dropout, reusing its own first
-stage.  ``compare`` and ``grid-search`` read no train-graph metric, so
-their shared cell trainer, ``experiment.run_cross_league``, turns
-``train_metrics`` off and skips that pass.  ``backward`` stops at the first
-stage's weight gradients: nothing reads the gradient of the network input.
-An epoch sums the basis terms, applies ReLU and updates Adam's moments in
-place, which gives the same bits as forming new arrays.
+products a result needs are formed.  A graph keeps each propagator
+``build_propagator`` makes for it, so models trained on one split share one
+build.  ``train`` propagates the validation graph's features through the
+first stage once; the dropout-off validation pass reuses that every epoch.
+With ``train_metrics`` on (the default, which the ``train`` command needs
+for ``train_report.csv``), each epoch also evaluates the train graph
+without dropout, reusing its own first stage.  ``compare`` and
+``grid-search`` read no train-graph metric, so their shared cell trainer,
+``experiment.run_cross_league``, turns ``train_metrics`` off and skips that
+pass.  ``backward`` stops at the first stage's weight gradients: nothing
+reads the gradient of the network input.  An epoch sums the basis terms,
+applies ReLU and updates Adam's moments in place, which gives the same bits
+as forming new arrays.
 
 BLAS threads: ``train`` runs with numpy's bundled OpenBLAS capped at one
 thread, and restores the previous count when it returns or raises.  The
@@ -411,9 +412,12 @@ _one_blas_thread = _OneBlasThread()
 
 
 def build_propagator(g: lg.LeagueGraph, kind: str, degree: int) -> lg.Propagator:
-    if kind == lg.CHEBYSHEV:
-        return lg.chebyshev_basis(g, degree)
-    return lg.normalized_adjacency(g)
+    """``g``'s propagator of ``kind`` and ``degree``, built once and kept in ``g.propagators``."""
+    if (kind, degree) not in g.propagators:
+        g.propagators[kind, degree] = (
+            lg.chebyshev_basis(g, degree) if kind == lg.CHEBYSHEV else lg.normalized_adjacency(g)
+        )
+    return g.propagators[kind, degree]
 
 
 @_one_blas_thread  # see the module docstring
@@ -422,8 +426,6 @@ def train(
     train_graph: lg.LeagueGraph,
     val_graph: lg.LeagueGraph,
     config: TrainConfig,
-    train_prop: lg.Propagator,
-    val_prop: lg.Propagator,
     *,
     train_metrics: bool = True,
 ) -> tuple[GcnModel, TrainReport]:
@@ -431,12 +433,12 @@ def train(
 
     Returns the snapshot from the best-validation epoch.  Both graphs must
     already be labeled with the same offset as the model's convolution count.
-    ``train_prop`` and ``val_prop`` are their ``build_propagator`` results
-    for the model, so callers training many models on one split build them
-    once.  With ``train_metrics`` off, as ``compare`` and ``grid-search``
-    train, the epochs skip the dropout-off train-graph evaluation and leave
-    the report's ``train_loss`` and ``train_acc`` empty; the weights and the
-    validation metrics are the same bits either way.
+    Their propagators come from ``build_propagator``, which keeps each on its
+    graph, so models trained on one split share one build.  With
+    ``train_metrics`` off, as ``compare`` and ``grid-search`` train, the
+    epochs skip the dropout-off train-graph evaluation and leave the report's
+    ``train_loss`` and ``train_acc`` empty; the weights and the validation
+    metrics are the same bits either way.
     """
     for name, g in (("train", train_graph), ("val", val_graph)):
         if g.features is None:
@@ -445,6 +447,8 @@ def train(
             raise ValueError(f"{name} graph has no labeled nodes")
 
     model = replace(model, weights=model.copy_weights())  # never mutate the caller's model
+    train_prop = build_propagator(train_graph, model.propagator_kind, model.chebyshev_degree)
+    val_prop = build_propagator(val_graph, model.propagator_kind, model.chebyshev_degree)
     x_train = np.asarray(train_graph.features.values, dtype=np.float64)
     x_val = np.asarray(val_graph.features.values, dtype=np.float64)
     train_labelled = _label_index(train_graph.labels, train_graph.label_mask)

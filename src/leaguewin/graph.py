@@ -8,12 +8,12 @@ previous-game edge, so node degree is between 1 and 3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import FeatureMatrix, TeamGameRecord
+from .ingest import FeatureMatrix, TeamGameRecord, feature_row_key
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -35,6 +35,9 @@ class LeagueGraph:
     labels: np.ndarray  # training label per node, -1 where unlabeled
     label_mask: np.ndarray
     features: FeatureMatrix | None = None
+    # gcn.build_propagator's builds on this graph, by (kind, degree).  Not an
+    # init field, so a replace() copy starts empty and reuses no build.
+    propagators: dict[tuple[str, int], Propagator] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -52,9 +55,9 @@ def build_league_graph(
 ) -> LeagueGraph:
     """Build the team-game graph for one league-season.
 
-    Nodes follow (timestamp, game_id, team) order so feature-matrix rows
-    line up with them; an optional pre-built matrix is validated against
-    that order.
+    Nodes follow the feature-matrix row order (``feature_row_key``) so
+    matrix rows line up with them; an optional pre-built matrix is
+    validated against that order.
     """
     if not records:
         return LeagueGraph(
@@ -70,7 +73,7 @@ def build_league_graph(
     if len(league_seasons) != 1:
         raise ValueError(f"records span multiple league-seasons: {sorted(league_seasons)}")
 
-    ordered = sorted(records, key=lambda r: (r.timestamp, r.game_id, r.team))
+    ordered = sorted(records, key=feature_row_key)
     by_team: dict[str, list[TeamGameRecord]] = {}
     for r in ordered:
         by_team.setdefault(r.team, []).append(r)

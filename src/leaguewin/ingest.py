@@ -176,6 +176,11 @@ def record_sort_key(r: TeamGameRecord):
     return (r.league, r.season, r.timestamp, r.game_id, r.team)
 
 
+def feature_row_key(r: TeamGameRecord):
+    # build_feature_matrix's row order, which graph nodes and forest rows follow.
+    return (r.league, r.timestamp, r.game_id, r.team)
+
+
 def parse_match_csv(
     data: bytes,
     spec: FeatureSpec | None = None,
@@ -330,7 +335,7 @@ def build_feature_matrix(
         raise ValueError(f"mode must be 'raw' or 'delta', got {mode!r}")
     if report is None:
         report = QualityReport()
-    ordered = sorted(records, key=lambda r: (r.league, r.timestamp, r.game_id, r.team))
+    ordered = sorted(records, key=feature_row_key)
     d = len(spec.names)
     widths = {len(r.features) for r in ordered} - {d}
     if widths:

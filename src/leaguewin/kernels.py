@@ -19,38 +19,6 @@ import math
 
 import numpy as np
 
-MOV_NONE = 0
-MOV_LIN = 1
-MOV_EXP = 2
-MOV_LOG = 3
-MOV_SQRT = 4
-
-
-def _mov_multiplier(kill_diff, mov_kind, w90):
-    # g(d) = 1 + f(d)/f(w90); every variant satisfies g(0)=1 (lin/log/sqrt)
-    # and g(w90)=2, so w90 is the margin at which K doubles.
-    if mov_kind == MOV_LIN:
-        return 1.0 + kill_diff / w90
-    if mov_kind == MOV_EXP:
-        return 1.0 + (math.exp(kill_diff / w90) - 1.0) / (math.e - 1.0)
-    if mov_kind == MOV_LOG:
-        return 1.0 + math.log1p(kill_diff) / math.log1p(w90)
-    if mov_kind == MOV_SQRT:
-        return 1.0 + math.sqrt(kill_diff) / math.sqrt(w90)
-    return 1.0
-
-
-def mov_table(kill_diff, pairs):
-    """MoV multiplier of every game under each ``(mov_kind, w90)`` pair.
-
-    Returns a ``(n_games, n_pairs)`` array, computed with the scalar rule.
-    """
-    table = np.empty((len(kill_diff), len(pairs)), dtype=np.float64)
-    for i, d in enumerate(kill_diff):
-        for j, (mov_kind, w90) in enumerate(pairs):
-            table[i, j] = _mov_multiplier(float(d), mov_kind, w90)
-    return table
-
 
 def scope_pass(
     team_idx,

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, TeamGameRecord
+from .ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, TeamGameRecord, record_sort_key
 
 
 _COLUMN = {n: j for j, n in enumerate(DEFAULT_FEATURES)}
@@ -103,7 +103,7 @@ def generate_league(config: SynthConfig) -> list[TeamGameRecord]:
                     )
                 )
                 game_no += 1
-    records.sort(key=lambda r: (r.league, r.season, r.timestamp, r.game_id, r.team))
+    records.sort(key=record_sort_key)
     return records
 
 

@@ -198,7 +198,7 @@ def test_criterion_7_transfer_learning_at_desk_scale():
         config = gcn.TrainConfig(hidden_dims=[64], dropout=0.1, propagator_kind="gcn-cheby", seed=seed)
         row, _, _ = cross_league(records, plan, config, "delta")
         accs.append(row.test_accuracy)
-        _, _, test_g, _ = experiment.prepare_split(records, plan, "delta", 1)
+        _, _, test_g = experiment.prepare_split(records, plan, "delta", 1)
         labels = test_g.labels[test_g.label_mask]
         majorities.append(max(float((labels == 1).mean()), float((labels == 0).mean())))
     mean_acc = float(np.mean(accs))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import platform
@@ -113,23 +114,6 @@ def test_predict_absent_league_exits_1(season_csv, plan_json, tmp_path, capsys):
     )
     assert code == 1
     assert "error: league 'ZZZ' has no regular-season games for 2020" in capsys.readouterr().err
-    assert not pred_out.exists()
-
-
-def test_predict_bundle_with_unknown_mode_exits_1(season_csv, plan_json, tmp_path, capsys):
-    train_out = tmp_path / "train_out"
-    assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]) == 0
-    bundle = json.loads((train_out / "model.json").read_text())
-    bundle["mode"] = "bogus"
-    (train_out / "model.json").write_text(json.dumps(bundle))
-    capsys.readouterr()
-    pred_out = tmp_path / "pred_out"
-    code = cli_main(
-        ["predict", "--data", str(season_csv), "--model-file", str(train_out / "model.json"),
-         "--league", "CCC", "--season", "2020", "--out", str(pred_out)]
-    )
-    assert code == 1
-    assert "error: mode must be 'raw' or 'delta', got 'bogus'" in capsys.readouterr().err
     assert not pred_out.exists()
 
 
@@ -412,6 +396,27 @@ def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     assert all(0.0 <= p <= 1.0 for p in probs)
 
 
+def test_predictions_csv_quotes_a_team_name_with_a_comma_and_a_quote(season_csv, plan_json, tmp_path):
+    name = 'CCC, "T01"'
+    with season_csv.open(newline="") as f:
+        rows = [[name if cell == "CCC-T01" else cell for cell in row] for row in csv.reader(f)]
+    with season_csv.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_epochs": 3}))
+    train_out, pred_out = tmp_path / "train_out", tmp_path / "pred_out"
+    argv = ["train", "--data", str(season_csv), "--plan", str(plan_json), "--config", str(config)]
+    assert cli_main([*argv, "--out", str(train_out)]) == 0
+    argv = ["predict", "--data", str(season_csv), "--model-file", str(train_out / "model.json"),
+            "--league", "CCC", "--season", "2020", "--out", str(pred_out)]
+    assert cli_main(argv) == 0
+    with (pred_out / "predictions.csv").open(newline="") as f:
+        table = list(csv.reader(f))
+    assert table[0] == ["team", "game_id", "team_game_index", "p_win"]
+    assert {len(row) for row in table} == {4}
+    assert sum(row[0] == name for row in table) == 10  # CCC-T01's games: 2 against each of 5 teams
+
+
 def test_bundle_holds_the_mode_once_and_predict_reads_it(season_csv, plan_json, tmp_path):
     train_out = tmp_path / "train_out"
     code = cli_main(
@@ -567,7 +572,8 @@ def _edit_model_config(edit):
         (_set("feature_spec", 3), "model bundle key 'feature_spec' in {bundle} must be an object"),
         (_set("feature_spec", {"features": None}), "model bundle key 'feature_spec' in {bundle} must be an object"),
         (_set("standardization", {"mean": ["x"], "std": [1]}), "model bundle key 'standardization' in {bundle}"),
-        (_set("mode", 3), "model bundle key 'mode' in {bundle} must be a non-empty string, got 3"),
+        (_set("mode", 3), "model bundle key 'mode' in {bundle} must be 'raw' or 'delta', got 3"),
+        (_set("mode", "deltas"), "model bundle key 'mode' in {bundle} must be 'raw' or 'delta', got \"deltas\""),
         (_without("standardization"), "model bundle {bundle} lacks keys ['standardization']"),
         (_set("extra", 1), "unknown model bundle keys in {bundle}: ['extra']"),
         (_set("schema_version", 2), "unsupported model bundle schema: 2"),
@@ -590,7 +596,8 @@ def _edit_model_config(edit):
         ),
     ],
     ids=[
-        "list", "feature-spec-int", "features-null", "mean-string", "mode-int", "no-standardization", "unknown-key",
+        "list", "feature-spec-int", "features-null", "mean-string", "mode-int", "mode-deltas", "no-standardization",
+        "unknown-key",
         "schema-2", "last-stage-deleted", "model-config-int", "weights-stage-number", "layer-dims-string",
         "layer-dims-three-logits", "model-unknown-key", "dropout-2", "dropout-string", "kind-zzz", "degree-negative",
         "config-no-seed",

@@ -3,6 +3,7 @@ import pytest
 from conftest import cross_league
 
 from leaguewin import experiment, gcn, synth
+from leaguewin import graph as lg
 from leaguewin.experiment import (
     SplitPlan,
     compare_all,
@@ -46,7 +47,7 @@ def test_transfer_fixture_beats_majority():
 
 def test_standardization_uses_training_stats():
     records = three_leagues()
-    train_g, val_g, test_g, stats = experiment.prepare_split(records, PLAN, "delta", 1)
+    train_g, val_g, test_g = experiment.prepare_split(records, PLAN, "delta", 1)
     # Training league is exactly z-scored; the others keep its scale, so
     # their own column spread differs from 1 (league skill spreads differ).
     assert np.allclose(train_g.features.values.mean(axis=0), 0.0, atol=1e-12)
@@ -130,13 +131,13 @@ def test_grid_builds_each_distinct_split_once(monkeypatch):
 def test_grid_builds_each_split_propagator_once(monkeypatch):
     records = three_leagues(seed=100)
     calls = []
-    real = gcn.build_propagator
+    for build in (lg.normalized_adjacency, lg.chebyshev_basis):
 
-    def counting(g, kind, degree):
-        calls.append((id(g), kind))
-        return real(g, kind, degree)
+        def counting(g, *args, build=build):
+            calls.append((id(g), build.__name__))
+            return build(g, *args)
 
-    monkeypatch.setattr(gcn, "build_propagator", counting)
+        monkeypatch.setattr(lg, build.__name__, counting)
     grid = dict(EIGHT_CELLS, dropout=[0.1, 0.5])
     report = grid_search_gcn(records, PLAN, grid, gcn.TrainConfig(seed=0, max_epochs=5))
     assert len(report.rows) == 16

@@ -41,12 +41,6 @@ def labeled_graph(n_teams=5, games_per_pair=2, seed=0, convolutions=1, mode="del
     return assign_labels(build_league_graph(records, features=matrix), convolutions)
 
 
-def train_on(model, g, g_val, config, **kwargs):
-    """gcn.train with both graphs' propagators built by build_propagator."""
-    props = [gcn.build_propagator(h, model.propagator_kind, model.chebyshev_degree) for h in (g, g_val)]
-    return train(model, g, g_val, config, *props, **kwargs)
-
-
 def test_init_deterministic_per_seed():
     config = TrainConfig(hidden_dims=[8], seed=7)
     a = init_model(config, 30)
@@ -324,7 +318,7 @@ def test_train_zero_learning_rate_keeps_weights():
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], learning_rate=0.0, max_epochs=5, dropout=0.2, seed=0)
     model = init_model(config, g.features.values.shape[1])
-    best, _ = train_on(model, g, g_val, config)
+    best, _ = train(model, g, g_val, config)
     for sa, sb in zip(model.weights, best.weights):
         for wa, wb in zip(sa, sb):
             assert np.array_equal(wa, wb)
@@ -344,7 +338,7 @@ def test_train_separable_fixture_reaches_high_accuracy():
         propagator_kind="gcn-cheby", seed=0,
     )
     model = init_model(config, g.features.values.shape[1])
-    _, report = train_on(model, g, g_val, config)
+    _, report = train(model, g, g_val, config)
     assert max(report.train_acc) >= 0.95
 
 
@@ -363,7 +357,7 @@ def test_early_stop_patience_contract(monkeypatch):
     monkeypatch.setattr(gcn, "_accuracy", fake_accuracy)
     config = TrainConfig(hidden_dims=[4], early_stop_patience=1, max_epochs=50, dropout=0.0, seed=0)
     model = init_model(config, g.features.values.shape[1])
-    _, report = train_on(model, g, g_val, config)
+    _, report = train(model, g, g_val, config)
     assert report.epochs_run <= 2
     assert report.best_epoch == 1
 
@@ -375,7 +369,7 @@ def test_train_divergence_raises():
     model = init_model(config, g.features.values.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
-            train_on(model, g, g_val, config)
+            train(model, g, g_val, config)
 
 
 def _blas_threads() -> int:
@@ -383,7 +377,7 @@ def _blas_threads() -> int:
 
 
 def _train_recording_blas_threads(monkeypatch, g, g_val, config):
-    """train_on, returning also the BLAS thread count each backward saw."""
+    """train, returning also the BLAS thread count each backward saw."""
     seen = []
     real_backward = gcn.backward
 
@@ -392,7 +386,7 @@ def _train_recording_blas_threads(monkeypatch, g, g_val, config):
         return real_backward(*args, **kwargs)
 
     monkeypatch.setattr(gcn, "backward", backward)
-    return train_on(init_model(config, g.features.values.shape[1]), g, g_val, config), seen
+    return train(init_model(config, g.features.values.shape[1]), g, g_val, config), seen
 
 
 def test_scipy_openblas_thread_functions_resolve():
@@ -439,9 +433,9 @@ def test_one_blas_thread_keeps_training_bit_for_bit(monkeypatch):
     assert g.features.values.shape == (440, 30)
     config = TrainConfig(hidden_dims=[64], propagator_kind="gcn-cheby", max_epochs=15, seed=3)
     model = init_model(config, 30)
-    capped, capped_report = train_on(model, g, g_val, config)
+    capped, capped_report = train(model, g, g_val, config)
     monkeypatch.setattr(gcn, "_openblas_threads", lambda: None)
-    uncapped, uncapped_report = train_on(model, g, g_val, config)
+    uncapped, uncapped_report = train(model, g, g_val, config)
     for sa, sb in zip(capped.weights, uncapped.weights, strict=True):
         for wa, wb in zip(sa, sb, strict=True):
             assert np.array_equal(wa, wb)
@@ -553,7 +547,7 @@ def test_train_matches_every_product_reference(kind, degree, layers, dropout):
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
     model = init_model(config, g.features.values.shape[1])
-    best, report = train_on(model, g, g_val, config)
+    best, report = train(model, g, g_val, config)
     ref_weights, ref_report = _reference_train(model, g, g_val, config)
     assert report == ref_report
     for sa, sb in zip(best.weights, ref_weights):
@@ -580,10 +574,10 @@ def test_train_without_train_metrics_skips_only_the_train_graph_pass(monkeypatch
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(gcn, "forward", counting_forward)
-    best, report = train_on(model, g, g_val, config)
+    best, report = train(model, g, g_val, config)
     assert calls["n"] == 3 * report.epochs_run
     calls["n"] = 0
-    lean, lean_report = train_on(model, g, g_val, config, train_metrics=False)
+    lean, lean_report = train(model, g, g_val, config, train_metrics=False)
     assert calls["n"] == 2 * lean_report.epochs_run
     assert (lean_report.train_loss, lean_report.train_acc) == ([], [])
     assert (lean_report.val_loss, lean_report.val_acc) == (report.val_loss, report.val_acc)
@@ -605,7 +599,7 @@ def test_train_agrees_with_dense_product_reference(kind, degree, layers):
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
     model = init_model(config, g.features.values.shape[1])
-    best, report = train_on(model, g, g_val, config)
+    best, report = train(model, g, g_val, config)
     ref_weights, ref_report = _reference_train(model, g, g_val, config, dense=True)
     assert (report.train_acc, report.val_acc, report.best_epoch) == (
         ref_report.train_acc, ref_report.val_acc, ref_report.best_epoch
@@ -622,6 +616,22 @@ def test_forward_rejects_a_propagator_of_another_kind():
     model = init_model(TrainConfig(hidden_dims=[4], propagator_kind="gcn-cheby"), g.features.values.shape[1])
     with pytest.raises(ValueError, match="chebyshev model was given a normalized_adjacency propagator"):
         forward(model, g.features.values, normalized_adjacency(g))
+
+
+def test_build_propagator_builds_once_per_graph_kind_and_degree():
+    g = labeled_graph(seed=1)
+    cheby = gcn.build_propagator(g, CHEBYSHEV, 1)
+    assert gcn.build_propagator(g, CHEBYSHEV, 1) is cheby
+    adjacency = gcn.build_propagator(g, "normalized_adjacency", 1)
+    assert adjacency.kind == "normalized_adjacency"
+    assert gcn.build_propagator(g, "normalized_adjacency", 1) is adjacency
+    degree2 = gcn.build_propagator(g, CHEBYSHEV, 2)
+    assert degree2 is not cheby and len(degree2.matrices) == 3
+    copy = replace(g, labels=g.labels.copy())
+    assert copy.propagators == {}
+    rebuilt = gcn.build_propagator(copy, CHEBYSHEV, 1)
+    assert rebuilt is not cheby
+    assert all((a != b).nnz == 0 for a, b in zip(rebuilt.matrices, cheby.matrices))
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -643,8 +653,8 @@ def test_train_report_is_deterministic():
     g = labeled_graph(seed=1)
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], dropout=0.3, max_epochs=20, seed=9)
-    r1 = train_on(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
-    r2 = train_on(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
+    r1 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
+    r2 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
     assert r1.train_loss == r2.train_loss
     assert r1.val_acc == r2.val_acc
     assert r1.best_epoch == r2.best_epoch

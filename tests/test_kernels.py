@@ -119,12 +119,12 @@ def scalar_season(games, cfg, state, threshold=0.5):
 def test_scope_pass_matches_scalar_updates_all_mov_kinds():
     rng = np.random.default_rng(0)
     train, val = random_games(rng, 120, 8), random_games(rng, 120, 8)
-    axes = ([0, 17.5, 40], [1480, 1520.0], [0.0, 0.35], sorted(sc.MOV_CODES), [10, 25.0], [0, 0.3])
+    axes = ([0, 17.5, 40], [1480, 1520.0], [0.0, 0.35], sorted(sc.MOV_FUNCTIONS), [10, 25.0], [0, 0.3])
     configs = [sc.ScopeConfig(*combo) for combo in product(*axes)]
     assert {c.mov_func for c in configs} == {"none", "lin", "exp", "log", "sqrt"}
 
-    pairs = sorted({(sc.MOV_CODES[c.mov_func], c.w90) for c in configs})
-    group = np.array([pairs.index((sc.MOV_CODES[c.mov_func], c.w90)) for c in configs])
+    pairs = sorted({(c.mov_func, c.w90) for c in configs})
+    group = np.array([pairs.index((c.mov_func, c.w90)) for c in configs])
     base_k = np.array([c.base_k for c in configs], dtype=np.float64)
     cutoff = np.array([c.cutoff for c in configs], dtype=np.float64)
     keep = np.array([1.0 - c.reduction for c in configs])
@@ -136,7 +136,7 @@ def test_scope_pass_matches_scalar_updates_all_mov_kinds():
             np.array([teams[g.team] for g in games]),
             np.array([teams[g.opponent] for g in games]),
             np.array([g.winner == g.team for g in games], dtype=np.uint8),
-            kernels.mov_table([g.kill_diff for g in games], pairs),
+            np.array([[sc.MOV_FUNCTIONS[f](float(g.kill_diff), w90) for f, w90 in pairs] for g in games]),
             group, ratings, base_k, cutoff, keep, score_from,
         )
 
@@ -246,14 +246,15 @@ def test_forests_match_reference_grower_tree_for_tree():
         assert scans > 2 and max(tree.value[0] * tree.count[0] for tree in got) > 127
 
 
-def test_mov_multiplier_codes_match_named_functions():
-    w90 = 120.0
-    d = 60.0
-    assert kernels._mov_multiplier(d, kernels.MOV_NONE, w90) == 1.0
-    assert kernels._mov_multiplier(d, kernels.MOV_LIN, w90) == 1.0 + d / w90
-    assert kernels._mov_multiplier(d, kernels.MOV_EXP, w90) == 1.0 + (math.exp(d / w90) - 1.0) / (math.e - 1.0)
-    assert kernels._mov_multiplier(d, kernels.MOV_LOG, w90) == 1.0 + math.log1p(d) / math.log1p(w90)
-    assert kernels._mov_multiplier(d, kernels.MOV_SQRT, w90) == 1.0 + math.sqrt(d) / math.sqrt(w90)
+def test_mov_functions_match_their_formulas():
+    mov = sc.MOV_FUNCTIONS
+    assert sorted(mov) == ["exp", "lin", "log", "none", "sqrt"]
+    for d, w90 in product([0.0, 1.0, 7.0, 60.0, 333.0], [3, 8, 120.0]):
+        assert mov["none"](d, w90) == 1.0
+        assert mov["lin"](d, w90) == 1.0 + d / w90
+        assert mov["exp"](d, w90) == 1.0 + (math.exp(d / w90) - 1.0) / (math.e - 1.0)
+        assert mov["log"](d, w90) == 1.0 + math.log1p(d) / math.log1p(w90)
+        assert mov["sqrt"](d, w90) == 1.0 + math.sqrt(d) / math.sqrt(w90)
 
 
 def test_forest_predict_many_matches_forest_predict():
