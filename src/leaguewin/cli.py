@@ -151,6 +151,11 @@ def _list_of(check):
     return lambda value: isinstance(value, list) and all(map(check, value))
 
 
+def _axis(expected: str, check) -> tuple:
+    """A grid axis: a non-empty list of ``expected``."""
+    return f"a non-empty list of {expected}", lambda value: _list_of(check)(value) and len(value) > 0
+
+
 def _object_of(check):
     return lambda value: isinstance(value, dict) and all(map(check, value.values()))
 
@@ -187,11 +192,11 @@ CONFIG_TYPES = {
 } | _fields_of(gcn.TrainConfig)
 # grid-search's grid names every axis; null in hidden2 gives a one-convolution model.
 GCN_GRID_TYPES = {
-    "hidden1": ("a list of integers", _list_of(_integer)),
-    "hidden2": ("a list of integers or null", _list_of(lambda v: v is None or _integer(v))),
-    "dropout": _NUMBERS,
-    "model": _STRINGS,
-    "dataset": _STRINGS,
+    "hidden1": _axis("integers", _integer),
+    "hidden2": _axis("integers or null", lambda v: v is None or _integer(v)),
+    "dropout": _axis("numbers", _number),
+    "model": _axis("'gcn' or 'gcn-cheby'", lambda v: v in OPTIONS["model"]["choices"]),  # as --model
+    "dataset": _axis("'raw' or 'delta'", lambda v: v in OPTIONS["mode"]["choices"]),  # as --mode
 }
 # simulate's --config, where "leagues" names the leagues to draw.
 SYNTH_TYPES = _fields_of(synth.SynthConfig) | {
@@ -259,14 +264,25 @@ def _load(path, what: str, types: dict, required: bool = False) -> dict:
     return _check(json.loads(Path(path).read_text("utf-8")), what, path, types, required)
 
 
+def _made(what: str, source, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, building from the JSON file ``source``; a
+    ValueError it raises is raised again as ``<what> <source>: <message>``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what} {source}: {exc}") from None
+
+
 def _config(args, types: dict = CONFIG_TYPES) -> dict:
     """The --config JSON object, {} without one."""
     return _load(args.config, "config", types) if args.config else {}
 
 
-def _feature_spec(config: dict) -> FeatureSpec:
+def _feature_spec(args, config: dict) -> FeatureSpec:
     features = config.get("features")
-    return FeatureSpec(list(features), dict(features)) if features else FeatureSpec.default()
+    if not features:
+        return FeatureSpec.default()
+    return _made("config", args.config, FeatureSpec, list(features), dict(features))
 
 
 def _records(args, spec: FeatureSpec | None = None, report: QualityReport | None = None):
@@ -278,7 +294,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
     leagues = doc.pop("leagues", None)
     if args.seed is not None:
         doc["seed"] = args.seed
-    config = synth.SynthConfig(**doc)
+    config = _made("config", args.config, synth.SynthConfig, **doc)
     records = synth.generate_leagues(config, leagues) if leagues else synth.generate_league(config)
     out = Path(args.out)
     # simulate alone may name the CSV file itself; the manifest goes beside it.
@@ -288,7 +304,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 
 
 def _cmd_ingest(args) -> tuple[dict, str]:
-    spec = _feature_spec(_config(args))
+    spec = _feature_spec(args, _config(args))
     report = QualityReport()
     records = _records(args, spec, report)
     build_feature_matrix(records, spec, "raw", report)  # fills report.imputed and report.warnings
@@ -298,7 +314,7 @@ def _cmd_ingest(args) -> tuple[dict, str]:
 
 
 def _cmd_build_graph(args) -> tuple[dict, str]:
-    spec = _feature_spec(_config(args))
+    spec = _feature_spec(args, _config(args))
     records = experiment.league_games(_records(args, spec), args.league, args.season)
     matrix = build_feature_matrix(records, spec, args.mode or "raw")
     g = lg.build_league_graph(records, features=matrix)
@@ -311,7 +327,8 @@ def _cmd_build_graph(args) -> tuple[dict, str]:
 def _train_config(args, doc: dict) -> gcn.TrainConfig:
     """The config's TrainConfig fields, then whichever of --model,
     --layers, --degree and --seed the command defines and was given."""
-    config = gcn.TrainConfig(**{k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__})
+    settings = {k: v for k, v in doc.items() if k in gcn.TrainConfig.__dataclass_fields__}
+    config = _made("config", args.config, gcn.TrainConfig, **settings)
     if getattr(args, "layers", None) is not None:
         config = replace(config, hidden_dims=[(config.hidden_dims or [64])[0]] * args.layers)
     flags = {"propagator_kind": "model", "chebyshev_degree": "degree", "seed": "seed"}
@@ -319,18 +336,14 @@ def _train_config(args, doc: dict) -> gcn.TrainConfig:
 
 
 def _plan(args) -> experiment.SplitPlan:
-    doc = _load(args.plan, "plan", PLAN_TYPES, required=True)
-    try:
-        return experiment.SplitPlan(**doc)
-    except ValueError as exc:
-        raise ValueError(f"plan {args.plan}: {exc}") from None
+    return _made("plan", args.plan, experiment.SplitPlan, **_load(args.plan, "plan", PLAN_TYPES, required=True))
 
 
 def _cmd_train(args) -> tuple[dict, str]:
     mode = args.mode or "delta"
     doc = _config(args)
     config = _train_config(args, doc)
-    spec = _feature_spec(doc)
+    spec = _feature_spec(args, doc)
     plan = _plan(args)
     records = _records(args, spec)
     best, report, _, stats = experiment.train_for_plan(records, plan, config, mode, spec)
@@ -349,18 +362,27 @@ def _cmd_train(args) -> tuple[dict, str]:
     return outputs, f"trained {name} best epoch {report.best_epoch}, val acc {val_acc:.4f}"
 
 
+def _bundle_stats(doc: dict, spec: FeatureSpec, model: gcn.GcnModel) -> ColumnStats:
+    """The bundle's standardization stats; they and the model must take one value per feature of ``spec``."""
+    stats = ColumnStats(**{k: np.array(v, dtype=np.float64) for k, v in doc.items()})
+    width = len(spec.names)
+    if not len(stats.mean) == len(stats.std) == width:
+        raise ValueError(f"standardization stats do not match the feature spec's {width} features")
+    if model.layer_dims[0] != width:
+        raise ValueError(f"the model takes {model.layer_dims[0]} features, but the feature spec names {width}")
+    return stats
+
+
 def _cmd_predict(args) -> tuple[dict, str]:
     bundle = _load(args.model_file, "model bundle", BUNDLE_TYPES, required=True)
     if bundle["schema_version"] != BUNDLE_SCHEMA_VERSION:
         raise ValueError(f"unsupported model bundle schema: {bundle['schema_version']}")
     _check(bundle["model"], "model", args.model_file, MODEL_TYPES, required=True)
     _check(bundle["model"]["config"], "model config", args.model_file, MODEL_CONFIG_TYPES, required=True)
-    try:
-        model = gcn.model_from_dict(bundle["model"])
-    except ValueError as exc:
-        raise ValueError(f"model bundle {args.model_file}: {exc}") from None
-    spec = FeatureSpec(list(bundle["feature_spec"]["features"]), dict(bundle["feature_spec"]["features"]))
-    stats = ColumnStats(**{k: np.array(v, dtype=np.float64) for k, v in bundle["standardization"].items()})
+    model = _made("model bundle", args.model_file, gcn.model_from_dict, bundle["model"])
+    features = bundle["feature_spec"]["features"]
+    spec = _made("model bundle", args.model_file, FeatureSpec, list(features), dict(features))
+    stats = _made("model bundle", args.model_file, _bundle_stats, bundle["standardization"], spec, model)
     g = experiment.league_graph_for(
         _records(args, spec), args.league, args.season, spec, bundle["mode"], model.conv_stages, stats
     )
@@ -379,7 +401,7 @@ def _cmd_grid_search(args) -> tuple[dict, str]:
     grid = doc.get("grid")
     if grid is not None:
         _check(grid, "config", args.config, GCN_GRID_TYPES, required=True)
-    spec = _feature_spec(doc)
+    spec = _feature_spec(args, doc)
     records = _records(args, spec)
     report = experiment.grid_search_gcn(records, plan, grid, _train_config(args, doc), spec)
     winner = [r for r in report.rows if r.note == "winner"][0]
@@ -423,7 +445,7 @@ def _cmd_baseline_forest(args) -> tuple[dict, str]:
 def _cmd_compare(args) -> tuple[dict, str]:
     plan = _plan(args)
     doc = _config(args)
-    spec = _feature_spec(doc)
+    spec = _feature_spec(args, doc)
     records = _records(args, spec)
     report = experiment.compare_all(records, plan, _train_config(args, doc), spec=spec)
     accs = ["skipped" if row.test_accuracy is None else f"{row.test_accuracy:.4f}" for row in report.rows]

@@ -122,7 +122,7 @@ def prepare_split(
 
 def final_test_accuracy(model: gcn.GcnModel, test_graph: lg.LeagueGraph) -> float:
     """The one place test-league labels are read."""
-    prop = gcn.build_propagator(test_graph, model.propagator_kind, model.chebyshev_degree)
+    prop = gcn.build_propagator(test_graph, model.config.propagator_kind, model.config.chebyshev_degree)
     logits, _ = gcn.forward(model, test_graph.features.values, prop, training=False)
     return gcn.masked_accuracy(logits, test_graph.labels, test_graph.label_mask)
 
@@ -137,8 +137,7 @@ def train_for_plan(
     """Train on the plan's train/val graphs without touching test labels."""
     convs = gcn.n_conv_stages(config.hidden_dims)
     train_g, val_g, test_g = prepare_split(records, plan, mode, convs, spec)
-    model = gcn.init_model(config, train_g.features.values.shape[1])
-    best, report = gcn.train(model, train_g, val_g, config)
+    best, report = gcn.train(config, train_g, val_g)
     return best, report, test_g, train_g.features.standardization_stats
 
 
@@ -161,8 +160,7 @@ def run_cross_league(
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
     for config, dataset in cells:
         train_g, val_g, test_g = splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]
-        model = gcn.init_model(config, train_g.features.values.shape[1])
-        model, report = gcn.train(model, train_g, val_g, config, train_metrics=False)
+        model, report = gcn.train(config, train_g, val_g, train_metrics=False)
         yield gcn_row(config, dataset, report), model, test_g
 
 

@@ -8,6 +8,8 @@ All stages but a multi-stage model's last one convolve (``n_conv_stages``);
 that last one's basis is [None], a dense map to the two logits, so the
 receptive field is exactly the number of convolution stages.  Dropout is
 applied to every stage input during training with inverted 1/(1-p) scaling.
+A model carries a copy of the ``TrainConfig`` it was built with, the one
+record of its settings: ``train`` takes the config and builds the model.
 
 Propagation multiplies by the propagator's own CSR matrices, and only the
 products a result needs are formed.  A graph keeps each propagator
@@ -103,12 +105,15 @@ class TrainConfig:
 
 @dataclass
 class GcnModel:
-    layer_dims: list[int]
+    config: TrainConfig
     weights: list[list[np.ndarray]]  # per stage, one matrix per basis element
-    dropout: float
-    propagator_kind: str
-    chebyshev_degree: int
-    rng_seed: int
+
+    def __post_init__(self):  # a copy: editing the caller's config later leaves the model as it is
+        self.config = replace(self.config, hidden_dims=list(self.config.hidden_dims))
+
+    @property
+    def layer_dims(self) -> list[int]:
+        return [self.weights[0][0].shape[0], *self.config.hidden_dims, 2]
 
     @property
     def n_stages(self) -> int:
@@ -116,7 +121,7 @@ class GcnModel:
 
     @property
     def conv_stages(self) -> int:
-        return n_conv_stages(self.layer_dims[1:-1])
+        return n_conv_stages(self.config.hidden_dims)
 
     def copy_weights(self) -> list[list[np.ndarray]]:
         return [[w.copy() for w in stage] for stage in self.weights]
@@ -175,14 +180,7 @@ def init_model(config: TrainConfig, input_dim: int) -> GcnModel:
         fan_in, fan_out = dims[s], dims[s + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append([rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in basis])
-    return GcnModel(
-        layer_dims=dims,
-        weights=weights,
-        dropout=config.dropout,
-        propagator_kind=config.propagator_kind,
-        chebyshev_degree=config.chebyshev_degree,
-        rng_seed=config.seed,
-    )
+    return GcnModel(config, weights)
 
 
 # Nothing in the package calls this: propagation runs on the CSR matrices.
@@ -203,10 +201,10 @@ def dense_propagator(propagator: lg.Propagator | list[np.ndarray]) -> list[np.nd
 
 def _model_bases(model: GcnModel, propagator: lg.Propagator) -> list[list[sp.csr_matrix | None]]:
     """The model's stage bases on ``propagator``'s graph; a Chebyshev T0 = I is None."""
-    if propagator.kind != model.propagator_kind:
-        raise ValueError(f"a {model.propagator_kind} model was given a {propagator.kind} propagator")
+    if propagator.kind != model.config.propagator_kind:
+        raise ValueError(f"a {model.config.propagator_kind} model was given a {propagator.kind} propagator")
     basis = [None, *propagator.matrices[1:]] if propagator.kind == lg.CHEBYSHEV else propagator.matrices
-    return _stage_bases(model.layer_dims[1:-1], basis)
+    return _stage_bases(model.config.hidden_dims, basis)
 
 
 def _apply(basis: list[sp.csr_matrix | None], terms: list[np.ndarray]) -> list[np.ndarray]:
@@ -235,10 +233,8 @@ def forward(
     if x.shape[0] != n:
         raise ValueError(f"propagator is {n}x{n} but features have {x.shape[0]} rows")
     if x.shape[1] != model.layer_dims[0]:
-        raise ValueError(
-            f"model expects {model.layer_dims[0]} input features, got {x.shape[1]}"
-        )
-    use_dropout = training and model.dropout > 0.0
+        raise ValueError(f"model expects {model.layer_dims[0]} input features, got {x.shape[1]}")
+    use_dropout = training and model.config.dropout > 0.0
     if use_dropout and rng is None and dropout_masks is None:
         raise ValueError("training forward with dropout needs an rng or recorded masks")
     if use_dropout and first_stage is not None:
@@ -254,8 +250,8 @@ def forward(
             if dropout_masks is not None:
                 mask = dropout_masks[s]
             else:
-                keep = rng.random(h.shape) >= model.dropout
-                mask = keep / (1.0 - model.dropout)
+                keep = rng.random(h.shape) >= model.config.dropout
+                mask = keep / (1.0 - model.config.dropout)
         h_in = h * mask if mask is not None else h
         ph = first_stage if s == 0 and first_stage is not None else _apply(basis, [h_in] * len(basis))
         z = ph[0] @ stage_weights[0]
@@ -422,17 +418,19 @@ def build_propagator(g: lg.LeagueGraph, kind: str, degree: int) -> lg.Propagator
 
 @_one_blas_thread  # see the module docstring
 def train(
-    model: GcnModel,
+    config: TrainConfig,
     train_graph: lg.LeagueGraph,
     val_graph: lg.LeagueGraph,
-    config: TrainConfig,
     *,
     train_metrics: bool = True,
 ) -> tuple[GcnModel, TrainReport]:
     """Full-batch Adam with early stopping on validation accuracy.
 
-    Returns the snapshot from the best-validation epoch.  Both graphs must
-    already be labeled with the same offset as the model's convolution count.
+    Builds the model with ``init_model(config, <train feature width>)`` and
+    returns its snapshot from the best-validation epoch; ``config`` alone
+    sets the network, the seed of its weights and dropout masks, and the
+    optimizer.  Both graphs must already be labeled with the same offset as
+    the config's convolution count.
     Their propagators come from ``build_propagator``, which keeps each on its
     graph, so models trained on one split share one build.  With
     ``train_metrics`` off, as ``compare`` and ``grid-search`` train, the
@@ -446,11 +444,11 @@ def train(
         if not g.label_mask.any():
             raise ValueError(f"{name} graph has no labeled nodes")
 
-    model = replace(model, weights=model.copy_weights())  # never mutate the caller's model
-    train_prop = build_propagator(train_graph, model.propagator_kind, model.chebyshev_degree)
-    val_prop = build_propagator(val_graph, model.propagator_kind, model.chebyshev_degree)
     x_train = np.asarray(train_graph.features.values, dtype=np.float64)
     x_val = np.asarray(val_graph.features.values, dtype=np.float64)
+    model = init_model(config, x_train.shape[1])
+    train_prop = build_propagator(train_graph, config.propagator_kind, config.chebyshev_degree)
+    val_prop = build_propagator(val_graph, config.propagator_kind, config.chebyshev_degree)
     train_labelled = _label_index(train_graph.labels, train_graph.label_mask)
     val_labelled = _label_index(val_graph.labels, val_graph.label_mask)
     # The dropout-off passes see the same first-stage input every epoch.
@@ -503,15 +501,14 @@ def train(
             if stall >= config.early_stop_patience:
                 break
 
-    best = replace(model, weights=best_weights)
-    return best, report
+    return replace(model, weights=best_weights), report
 
 
 def predict(model: GcnModel, g: lg.LeagueGraph) -> np.ndarray:
     """Per-node win probability (class 1) with dropout off."""
     if g.features is None:
         raise ValueError("graph has no features attached")
-    prop = build_propagator(g, model.propagator_kind, model.chebyshev_degree)
+    prop = build_propagator(g, model.config.propagator_kind, model.config.chebyshev_degree)
     logits, _ = forward(model, g.features.values, prop, training=False)
     return softmax(logits)[:, 1]
 
@@ -521,12 +518,12 @@ def model_to_dict(model: GcnModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "config": {
-            "dropout": model.dropout,
-            "propagator_kind": model.propagator_kind,
-            "chebyshev_degree": model.chebyshev_degree,
-            "rng_seed": model.rng_seed,
+            "dropout": model.config.dropout,
+            "propagator_kind": model.config.propagator_kind,
+            "chebyshev_degree": model.config.chebyshev_degree,
+            "rng_seed": model.config.seed,
         },
-        "layer_dims": list(model.layer_dims),
+        "layer_dims": model.layer_dims,
         "weights": [[w.tolist() for w in stage] for stage in model.weights],
     }
 
@@ -536,27 +533,19 @@ def model_from_dict(doc: dict) -> GcnModel:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
     cfg = doc["config"]
+    dims = [int(d) for d in doc["layer_dims"]]
     config = TrainConfig(
         dropout=float(cfg["dropout"]),
+        hidden_dims=dims[1:-1],
         propagator_kind=cfg["propagator_kind"],
         chebyshev_degree=int(cfg["chebyshev_degree"]),
         seed=int(cfg["rng_seed"]),
     )  # checks the values as training does
-    dims = [int(d) for d in doc["layer_dims"]]
-    weights = [
-        [np.array(w, dtype=np.float64) for w in stage] for stage in doc["weights"]
-    ]
-    bases = _stage_bases(dims[1:-1], [None] * n_basis(config.propagator_kind, config.chebyshev_degree))
+    weights = [[np.array(w, dtype=np.float64) for w in stage] for stage in doc["weights"]]
+    bases = _stage_bases(config.hidden_dims, [None] * n_basis(config.propagator_kind, config.chebyshev_degree))
     expected = [[shape] * len(basis) for shape, basis in zip(zip(dims, dims[1:]), bases)]
     shapes = [[w.shape for w in stage] for stage in weights]
     for s, (got, want) in enumerate(zip_longest(shapes, expected, fillvalue=[])):
         if got != want:
             raise ValueError(f"model stage {s} has weight shapes {got}, but layer_dims {dims} needs {want}")
-    return GcnModel(
-        layer_dims=dims,
-        weights=weights,
-        dropout=config.dropout,
-        propagator_kind=config.propagator_kind,
-        chebyshev_degree=config.chebyshev_degree,
-        rng_seed=config.seed,
-    )
+    return GcnModel(config, weights)

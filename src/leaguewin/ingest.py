@@ -188,8 +188,9 @@ def parse_match_csv(
 ) -> list[TeamGameRecord]:
     """Parse a UTF-8 match-log CSV into validated team-game records.
 
-    Rows that fail numeric validation are skipped and recorded in ``report``
-    with their line numbers; schema and pairing violations raise.
+    Rows that fail numeric validation, an infinite feature value included,
+    are skipped and recorded in ``report`` with their line numbers; schema
+    and pairing violations raise.
     """
     if spec is None:
         spec = FeatureSpec.default()
@@ -209,10 +210,13 @@ def parse_match_csv(
     # itemgetter returns a bare cell, not a tuple, for a single index.
     take = operator.itemgetter(*feature_idx) if len(feature_idx) > 1 else lambda row: [row[i] for i in feature_idx]
     values = array.array("d")  # every record's features, row after row
+    skipped = []  # line numbers of the blank and bad rows: every other row is a record
+    n_errors = len(report.row_errors)
 
     records: list[TeamGameRecord] = []
     for line_no, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
+            skipped.append(line_no)
             continue
         report.rows_read += 1
         start = len(values)
@@ -239,9 +243,22 @@ def parse_match_csv(
         except (ValueError, IndexError) as exc:
             del values[start:]
             report.row_errors.append((line_no, str(exc)))
+            skipped.append(line_no)
             continue
         records.append(record)
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(records), len(spec.names))
+    infinite = np.isinf(matrix)  # float() reads "inf" and "1e999": those rows are row errors too
+    bad_rows = infinite.any(axis=1)
+    if bad_rows.any():
+        lines = np.setdiff1d(np.arange(2, 2 + len(records) + len(skipped)), skipped)
+        bad = np.flatnonzero(bad_rows)
+        errors = [
+            (int(lines[i]), f"{spec.names[j]} must be finite, got {matrix[i, j]}")
+            for i, j in zip(bad, infinite[bad].argmax(axis=1))  # each row's first infinite column
+        ]
+        report.row_errors[n_errors:] = sorted(report.row_errors[n_errors:] + errors)
+        records = [r for r, b in zip(records, bad_rows) if not b]
+        matrix = matrix[~bad_rows]
     for record, x in zip(records, matrix):
         record.features = x
 

@@ -165,7 +165,7 @@ def test_criterion_6_no_leakage():
             propagator_kind="gcn-cheby" if trial % 3 == 0 else "gcn", seed=trial,
         )
         model = gcn.init_model(config, matrix.values.shape[1])
-        prop = gcn.build_propagator(g, model.propagator_kind, model.chebyshev_degree)
+        prop = gcn.build_propagator(g, model.config.propagator_kind, model.config.chebyshev_degree)
         base_logits, _ = gcn.forward(model, g.features.values, prop)
         for node in np.flatnonzero(g.label_mask):
             source = label_source_node(g, int(node), c)

@@ -159,10 +159,11 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
         ({"feature_signal_map": {"kills": "x"}}, "config key 'feature_signal_map' in {config} must be an object of name -> number"),
         ({"league": ""}, "config key 'league' in {config} must be a non-empty string, got \"\""),
         ([1], "config {config} must hold a JSON object"),
+        ({"n_teams": 1}, "config {config}: n_teams must be >= 2"),
     ],
     ids=[
         "leagues-string", "leagues-repeated", "leagues-empty-name", "n-teams-string", "std-bool", "signal-map-string",
-        "league-empty", "list",
+        "league-empty", "list", "n-teams-one",
     ],
 )
 def test_simulate_bad_config_value_exits_1(doc, message, tmp_path, capsys):
@@ -268,7 +269,26 @@ def test_train_hidden_width_below_one_exits_1(width, season_csv, plan_json, tmp_
     out = tmp_path / "o"
     argv = ["train", "--plan", str(plan_json), "--data", str(season_csv), "--config", str(config), "--out", str(out)]
     assert cli_main(argv) == 1
-    assert f"error: hidden_dims entries must be >= 1, got [{width}]" in capsys.readouterr().err
+    assert f"error: config {config}: hidden_dims entries must be >= 1, got [{width}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["train", "--plan", "{plan}"], {"dropout": 1.5}, "dropout must lie in [0, 1)"),
+        (["train", "--plan", "{plan}"], {"features": {"towers": "objectivez"}}, "unknown categories: ['objectivez']"),
+        (["ingest"], {"features": {"towers": "objectivez"}}, "unknown categories: ['objectivez']"),
+    ],
+    ids=["train-dropout", "train-category", "ingest-category"],
+)
+def test_config_value_out_of_range_exits_1_naming_the_file(argv, doc, message, season_csv, plan_json, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = [a.format(plan=plan_json) for a in argv]
+    assert cli_main([*argv, "--data", str(season_csv), "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: config {config}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -340,6 +360,35 @@ def test_ingest_reports_blank_feature_cells(season_csv, tmp_path):
     report = json.loads((out / "quality_report.json").read_text())
     assert report["imputed"] == {"total_gold": 1, "vision_score": len(rows)}
     assert report["warnings"] == ["column 'vision_score' has no observed values; imputed 0"]
+
+
+def test_infinite_feature_cells_are_row_errors(season_csv, plan_json, tmp_path, capsys):
+    lines = season_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    towers, gameid = header.index("towers"), header.index("gameid")
+    rows = [line.split(",") for line in lines[1:]]
+    game = rows[0][gameid]
+    pair = [i for i, row in enumerate(rows) if row[gameid] == game]
+    data = tmp_path / "infinite.csv"
+    out = tmp_path / "o"
+
+    # One side's row is dropped, so its game fails pairing before any training.
+    rows[pair[0]][towers] = "inf"
+    data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    for argv in (["ingest"], ["train", "--plan", str(plan_json)]):
+        assert cli_main([*argv, "--data", str(data), "--out", str(out)]) == 1
+        assert f"error: 1 game id(s) without exactly two rows: {game}" in capsys.readouterr().err
+        assert not out.exists()
+
+    rows[pair[1]][towers] = "-1e999"
+    data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    assert cli_main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+    report = json.loads((out / "quality_report.json").read_text())
+    assert report["row_errors"] == [
+        [pair[0] + 2, "towers must be finite, got inf"],
+        [pair[1] + 2, "towers must be finite, got -inf"],
+    ]
+    assert report["records_parsed"] == len(rows) - 2
 
 
 def test_out_directory_with_a_dot_is_written_into(season_csv, tmp_path):
@@ -517,17 +566,21 @@ _GRID = {"hidden1": [8], "hidden2": [None], "dropout": [0.1], "model": ["gcn"], 
 @pytest.mark.parametrize(
     "grid, message",
     [
-        (_GRID | {"hidden1": ["x"]}, "config key 'hidden1' in {config} must be a list of integers, got [\"x\"]"),
-        (_GRID | {"hidden2": [None, 1.5]}, "config key 'hidden2' in {config} must be a list of integers or null"),
-        (_GRID | {"dropout": ["0.1"]}, "config key 'dropout' in {config} must be a list of numbers, got [\"0.1\"]"),
-        (_GRID | {"model": [1]}, "config key 'model' in {config} must be a list of strings, got [1]"),
+        (_GRID | {"hidden1": ["x"]}, "config key 'hidden1' in {config} must be a non-empty list of integers, got [\"x\"]"),
+        (_GRID | {"hidden2": [None, 1.5]}, "config key 'hidden2' in {config} must be a non-empty list of integers or null"),
+        (_GRID | {"dropout": ["0.1"]}, "config key 'dropout' in {config} must be a non-empty list of numbers, got [\"0.1\"]"),
+        (_GRID | {"model": [1]}, "config key 'model' in {config} must be a non-empty list of 'gcn' or 'gcn-cheby', got [1]"),
+        (_GRID | {"model": ["gcnx"]}, "config key 'model' in {config} must be a non-empty list of 'gcn' or 'gcn-cheby'"),
+        (_GRID | {"model": ["chebyshev"]}, "config key 'model' in {config} must be a non-empty list of 'gcn' or"),
+        (_GRID | {"dataset": ["deltas"]}, "config key 'dataset' in {config} must be a non-empty list of 'raw' or 'delta'"),
+        (_GRID | {"hidden1": []}, "config key 'hidden1' in {config} must be a non-empty list of integers, got []"),
         ({"hidden1": [8]}, "config {config} lacks keys ['hidden2', 'dropout', 'model', 'dataset']"),
         (_GRID | {"hidden3": [8]}, "unknown config keys in {config}: ['hidden3']"),
         ({}, "config {config} lacks keys ['hidden1', 'hidden2', 'dropout', 'model', 'dataset']"),
     ],
     ids=[
-        "hidden1-string", "hidden2-float", "dropout-string", "model-number", "only-hidden1", "unknown-axis",
-        "empty-object",
+        "hidden1-string", "hidden2-float", "dropout-string", "model-number", "model-gcnx", "model-internal-kind",
+        "dataset-deltas", "hidden1-empty", "only-hidden1", "unknown-axis", "empty-object",
     ],
 )
 def test_grid_search_bad_grid_exits_1_naming_the_key(grid, message, season_csv, plan_json, tmp_path, capsys):
@@ -550,6 +603,12 @@ def _without(key):
 
 def _without_last_stage(bundle):
     bundle["model"]["weights"].pop()
+    return bundle
+
+
+def _without_last_feature(bundle):
+    bundle["feature_spec"]["features"].popitem()
+    bundle["standardization"] = {k: v[:-1] for k, v in bundle["standardization"].items()}
     return bundle
 
 
@@ -594,13 +653,19 @@ def _edit_model_config(edit):
             _edit_model_config(lambda config: {k: v for k, v in config.items() if k != "rng_seed"}),
             "model config {bundle} lacks keys ['rng_seed']",
         ),
+        (_set("feature_spec", {"features": {"towers": "objectivez"}}), "model bundle {bundle}: unknown categories"),
+        (
+            _set("standardization", {"mean": [0.0], "std": [1.0]}),
+            "model bundle {bundle}: standardization stats do not match the feature spec's 30 features",
+        ),
+        (_without_last_feature, "model bundle {bundle}: the model takes 30 features, but the feature spec names 29"),
     ],
     ids=[
         "list", "feature-spec-int", "features-null", "mean-string", "mode-int", "mode-deltas", "no-standardization",
         "unknown-key",
         "schema-2", "last-stage-deleted", "model-config-int", "weights-stage-number", "layer-dims-string",
         "layer-dims-three-logits", "model-unknown-key", "dropout-2", "dropout-string", "kind-zzz", "degree-negative",
-        "config-no-seed",
+        "config-no-seed", "category-objectivez", "stats-short", "model-wider-than-features",
     ],
 )
 def test_predict_bad_bundle_exits_1_naming_it(edit, message, season_csv, plan_json, tmp_path, capsys):

@@ -99,7 +99,7 @@ def test_identity_propagator_single_stage_is_dense_layer():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 3))
     w = rng.normal(size=(3, 2))
-    model = GcnModel([3, 2], [[w]], 0.0, "normalized_adjacency", 1, 0)
+    model = GcnModel(TrainConfig(hidden_dims=[], dropout=0.0), [[w]])
     logits, _ = forward(model, x, normalized_adjacency(g))
     assert np.array_equal(logits, x @ w)
 
@@ -112,7 +112,7 @@ def test_forward_hand_computed_oracle():
     x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0], [-2.0, 1.0]])
     w0 = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
     w1 = np.array([[1.0, -1.0], [0.5, 0.25], [-0.75, 2.0]])
-    model = GcnModel([2, 3, 2], [[w0], [w1]], 0.0, "normalized_adjacency", 1, 0)
+    model = GcnModel(TrainConfig(hidden_dims=[3], dropout=0.0), [[w0], [w1]])
     prop = normalized_adjacency(g)
     p = prop.matrices[0].toarray()
     expected_hidden = np.zeros((4, 3))
@@ -167,7 +167,7 @@ def test_gradient_zero_at_symmetric_minimum():
     # Two identical rows with opposite labels, zero weights: exact stationary point.
     g = _edgeless_graph(2)
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
-    model = GcnModel([2, 2], [[np.zeros((2, 2))]], 0.0, "normalized_adjacency", 1, 0)
+    model = GcnModel(TrainConfig(hidden_dims=[], dropout=0.0), [[np.zeros((2, 2))]])
     logits, cache = forward(model, x, normalized_adjacency(g))
     grads = backward(cache, np.array([0, 1]), np.ones(2, dtype=bool))
     assert max(np.abs(w).max() for s in grads for w in s) < 1e-8
@@ -241,7 +241,7 @@ def test_dropout_expectation_matches_no_dropout():
     x = rng.normal(size=(4, 3))
     w = rng.normal(size=(3, 2))
     g = _edgeless_graph(4)
-    model = GcnModel([3, 2], [[w]], 0.5, "normalized_adjacency", 1, 0)
+    model = GcnModel(TrainConfig(hidden_dims=[], dropout=0.5), [[w]])
     prop = normalized_adjacency(g)
     clean, _ = forward(model, x, prop, training=False)
     draw_rng = np.random.default_rng(123)
@@ -318,7 +318,7 @@ def test_train_zero_learning_rate_keeps_weights():
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], learning_rate=0.0, max_epochs=5, dropout=0.2, seed=0)
     model = init_model(config, g.features.values.shape[1])
-    best, _ = train(model, g, g_val, config)
+    best, _ = train(config, g, g_val)
     for sa, sb in zip(model.weights, best.weights):
         for wa, wb in zip(sa, sb):
             assert np.array_equal(wa, wb)
@@ -337,8 +337,7 @@ def test_train_separable_fixture_reaches_high_accuracy():
         hidden_dims=[8], dropout=0.0, max_epochs=200, early_stop_patience=50,
         propagator_kind="gcn-cheby", seed=0,
     )
-    model = init_model(config, g.features.values.shape[1])
-    _, report = train(model, g, g_val, config)
+    _, report = train(config, g, g_val)
     assert max(report.train_acc) >= 0.95
 
 
@@ -356,8 +355,7 @@ def test_early_stop_patience_contract(monkeypatch):
 
     monkeypatch.setattr(gcn, "_accuracy", fake_accuracy)
     config = TrainConfig(hidden_dims=[4], early_stop_patience=1, max_epochs=50, dropout=0.0, seed=0)
-    model = init_model(config, g.features.values.shape[1])
-    _, report = train(model, g, g_val, config)
+    _, report = train(config, g, g_val)
     assert report.epochs_run <= 2
     assert report.best_epoch == 1
 
@@ -366,10 +364,9 @@ def test_train_divergence_raises():
     g = labeled_graph(seed=1)
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], learning_rate=1e200, max_epochs=10, dropout=0.0, seed=0)
-    model = init_model(config, g.features.values.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
-            train(model, g, g_val, config)
+            train(config, g, g_val)
 
 
 def _blas_threads() -> int:
@@ -386,7 +383,7 @@ def _train_recording_blas_threads(monkeypatch, g, g_val, config):
         return real_backward(*args, **kwargs)
 
     monkeypatch.setattr(gcn, "backward", backward)
-    return train(init_model(config, g.features.values.shape[1]), g, g_val, config), seen
+    return train(config, g, g_val), seen
 
 
 def test_scipy_openblas_thread_functions_resolve():
@@ -432,10 +429,9 @@ def test_one_blas_thread_keeps_training_bit_for_bit(monkeypatch):
     g_val = labeled_graph(n_teams=11, games_per_pair=4, seed=2)
     assert g.features.values.shape == (440, 30)
     config = TrainConfig(hidden_dims=[64], propagator_kind="gcn-cheby", max_epochs=15, seed=3)
-    model = init_model(config, 30)
-    capped, capped_report = train(model, g, g_val, config)
+    capped, capped_report = train(config, g, g_val)
     monkeypatch.setattr(gcn, "_openblas_threads", lambda: None)
-    uncapped, uncapped_report = train(model, g, g_val, config)
+    uncapped, uncapped_report = train(config, g, g_val)
     for sa, sb in zip(capped.weights, uncapped.weights, strict=True):
         for wa, wb in zip(sa, sb, strict=True):
             assert np.array_equal(wa, wb)
@@ -493,9 +489,9 @@ def _reference_backward(weights, mats, stages, logits, labels, label_mask, weigh
 def _reference_basis(g, model, dense):
     """The whole basis, T0 = I included as a sparse identity: the CSR
     matrices themselves, or dense copies of them."""
-    prop = gcn.build_propagator(g, model.propagator_kind, model.chebyshev_degree)
+    prop = gcn.build_propagator(g, model.config.propagator_kind, model.config.chebyshev_degree)
     mats = list(prop.matrices)
-    if model.propagator_kind == CHEBYSHEV:
+    if model.config.propagator_kind == CHEBYSHEV:
         mats[0] = sp.identity(g.n_nodes, format="csr")
     return [m.toarray() for m in mats] if dense else mats
 
@@ -511,17 +507,17 @@ def _reference_train(model, g, g_val, config, dense=False):
     report = gcn.TrainReport()
     best_acc, best_weights, stall = -np.inf, [[w.copy() for w in stage] for stage in weights], 0
     for epoch in range(1, config.max_epochs + 1):
-        logits, stages = _reference_forward(weights, p_train, x, model.dropout, rng)
+        logits, stages = _reference_forward(weights, p_train, x, model.config.dropout, rng)
         grads = _reference_backward(weights, p_train, stages, logits, g.labels, g.label_mask, config.weight_decay)
         for s, stage in enumerate(weights):
             for k, w in enumerate(stage):
                 m = m_state[s][k] = 0.9 * m_state[s][k] + (1 - 0.9) * grads[s][k]
                 v = v_state[s][k] = 0.999 * v_state[s][k] + (1 - 0.999) * grads[s][k] ** 2
                 w -= config.learning_rate * (m / (1 - 0.9**epoch)) / (np.sqrt(v / (1 - 0.999**epoch)) + 1e-8)
-        eval_logits, _ = _reference_forward(weights, p_train, x, model.dropout, None)
+        eval_logits, _ = _reference_forward(weights, p_train, x, model.config.dropout, None)
         report.train_loss.append(masked_loss(eval_logits, g.labels, g.label_mask, config.weight_decay, weights))
         report.train_acc.append(masked_accuracy(eval_logits, g.labels, g.label_mask))
-        val_logits, _ = _reference_forward(weights, p_val, x_val, model.dropout, None)
+        val_logits, _ = _reference_forward(weights, p_val, x_val, model.config.dropout, None)
         report.val_loss.append(masked_loss(val_logits, g_val.labels, g_val.label_mask))
         report.val_acc.append(masked_accuracy(val_logits, g_val.labels, g_val.label_mask))
         if report.val_acc[-1] > best_acc:
@@ -546,9 +542,8 @@ def test_train_matches_every_product_reference(kind, degree, layers, dropout):
         hidden_dims=[8] * layers, dropout=dropout, max_epochs=25, early_stop_patience=8,
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
-    model = init_model(config, g.features.values.shape[1])
-    best, report = train(model, g, g_val, config)
-    ref_weights, ref_report = _reference_train(model, g, g_val, config)
+    best, report = train(config, g, g_val)
+    ref_weights, ref_report = _reference_train(init_model(config, g.features.values.shape[1]), g, g_val, config)
     assert report == ref_report
     for sa, sb in zip(best.weights, ref_weights):
         for wa, wb in zip(sa, sb):
@@ -565,7 +560,6 @@ def test_train_without_train_metrics_skips_only_the_train_graph_pass(monkeypatch
         hidden_dims=[8] * layers, dropout=dropout, max_epochs=25, early_stop_patience=8,
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
-    model = init_model(config, g.features.values.shape[1])
     calls = {"n": 0}
     real_forward = gcn.forward
 
@@ -574,10 +568,10 @@ def test_train_without_train_metrics_skips_only_the_train_graph_pass(monkeypatch
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(gcn, "forward", counting_forward)
-    best, report = train(model, g, g_val, config)
+    best, report = train(config, g, g_val)
     assert calls["n"] == 3 * report.epochs_run
     calls["n"] = 0
-    lean, lean_report = train(model, g, g_val, config, train_metrics=False)
+    lean, lean_report = train(config, g, g_val, train_metrics=False)
     assert calls["n"] == 2 * lean_report.epochs_run
     assert (lean_report.train_loss, lean_report.train_acc) == ([], [])
     assert (lean_report.val_loss, lean_report.val_acc) == (report.val_loss, report.val_acc)
@@ -598,8 +592,8 @@ def test_train_agrees_with_dense_product_reference(kind, degree, layers):
         hidden_dims=[8] * layers, dropout=0.5, max_epochs=25, early_stop_patience=8,
         propagator_kind=kind, chebyshev_degree=degree, seed=4,
     )
+    best, report = train(config, g, g_val)
     model = init_model(config, g.features.values.shape[1])
-    best, report = train(model, g, g_val, config)
     ref_weights, ref_report = _reference_train(model, g, g_val, config, dense=True)
     assert (report.train_acc, report.val_acc, report.best_epoch) == (
         ref_report.train_acc, ref_report.val_acc, ref_report.best_epoch
@@ -653,8 +647,8 @@ def test_train_report_is_deterministic():
     g = labeled_graph(seed=1)
     g_val = labeled_graph(seed=2)
     config = TrainConfig(hidden_dims=[4], dropout=0.3, max_epochs=20, seed=9)
-    r1 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
-    r2 = train(init_model(config, g.features.values.shape[1]), g, g_val, config)[1]
+    r1 = train(config, g, g_val)[1]
+    r2 = train(config, g, g_val)[1]
     assert r1.train_loss == r2.train_loss
     assert r1.val_acc == r2.val_acc
     assert r1.best_epoch == r2.best_epoch
@@ -675,7 +669,7 @@ def test_paired_delta_predictions_sum_to_one_on_edgeless_fixture():
     g = _edgeless_graph(2)
     x = np.array([[0.7, -1.3, 2.0], [-0.7, 1.3, -2.0]])
     rng = np.random.default_rng(2)
-    model = GcnModel([3, 2], [[rng.normal(size=(3, 2))]], 0.0, "normalized_adjacency", 1, 0)
+    model = GcnModel(TrainConfig(hidden_dims=[], dropout=0.0), [[rng.normal(size=(3, 2))]])
     logits, _ = forward(model, x, normalized_adjacency(g))
     probs = softmax(logits)[:, 1]
     assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-12)
@@ -688,14 +682,35 @@ def test_forward_shape_mismatch_raises():
         forward(model, g.features.values, normalized_adjacency(g))
 
 
+def _persisted(config: TrainConfig) -> tuple:
+    """The settings model.json keeps besides the layer widths."""
+    return config.dropout, config.propagator_kind, config.chebyshev_degree, config.seed
+
+
 def test_model_json_round_trip():
-    model = init_model(TrainConfig(hidden_dims=[5], propagator_kind="gcn-cheby", seed=3), 7)
+    config = TrainConfig(hidden_dims=[5], dropout=0.3, propagator_kind="gcn-cheby", chebyshev_degree=2, seed=3)
+    model = init_model(config, 7)
     back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
-    assert back.layer_dims == model.layer_dims
-    assert back.propagator_kind == model.propagator_kind
+    assert back.layer_dims == model.layer_dims == [7, 5, 2]
+    assert back.config.hidden_dims == back.layer_dims[1:-1]
+    assert _persisted(back.config) == _persisted(model.config) == (0.3, CHEBYSHEV, 2, 3)
     for sa, sb in zip(model.weights, back.weights):
         for wa, wb in zip(sa, sb):
             assert np.array_equal(wa, wb)
+
+
+def test_trained_model_carries_a_copy_of_its_train_config():
+    g = labeled_graph(seed=1)
+    g_val = labeled_graph(seed=2)
+    config = TrainConfig(hidden_dims=[4], dropout=0.2, propagator_kind="gcn-cheby", max_epochs=3, seed=6)
+    best, _ = train(config, g, g_val)
+    doc = model_to_dict(best)
+    keys = ["dropout", "propagator_kind", "chebyshev_degree", "rng_seed"]
+    assert doc["config"] == dict(zip(keys, _persisted(config)))
+    config.hidden_dims.append(9)
+    config.hidden_dims[0] = 7
+    assert best.config.hidden_dims == [4] and best.layer_dims == [30, 4, 2]
+    assert model_to_dict(best) == doc
 
 
 

@@ -86,21 +86,31 @@ def test_missing_column_named(default_spec):
 
 
 def test_bad_numeric_rows_reported_with_line_numbers(default_spec):
-    bad1 = minimal_row("g2", "C", "D", 1, 9, 2).replace("9", "not-a-number", 1)
-    bad2 = minimal_row("g2", "D", "C", 0, 2, 9)
-    bad2 = bad2.replace("2,9", "oops,9", 1)
-    data = make_csv(
-        [
-            minimal_row("g1", "A", "B", 1, 10, 5),
-            minimal_row("g1", "B", "A", 0, 5, 10),
-            bad1,
-            bad2,
-        ]
-    )
-    report = QualityReport()
-    records = parse_match_csv(data, default_spec, report)
-    assert len(records) == 2  # the broken game dropped entirely
-    assert [line for line, _ in report.row_errors] == [4, 5]
+    # A bad kills count fails as the row is read; an infinite feature value
+    # ("inf", "-inf", or a float literal too large, "1e999") once the
+    # feature matrix is built.  Both become row errors in line order.
+    for cell, bad_value, message in [
+        ("9", "not-a-number", "invalid literal for int() with base 10: 'not-a-number'"),  # kills
+        ("1.0", "inf", "towers must be finite, got inf"),  # the first feature cell
+        ("1.0", "-inf", "towers must be finite, got -inf"),
+        ("1.0", "1e999", "towers must be finite, got inf"),
+    ]:
+        bad1 = minimal_row("g2", "C", "D", 1, 9, 2).replace(cell, bad_value, 1)
+        bad2 = minimal_row("g2", "D", "C", 0, 2, 9)
+        bad2 = bad2.replace("2,9", "oops,9", 1)
+        data = make_csv(
+            [
+                minimal_row("g1", "A", "B", 1, 10, 5),
+                minimal_row("g1", "B", "A", 0, 5, 10),
+                bad1,
+                bad2,
+            ]
+        )
+        report = QualityReport()
+        records = parse_match_csv(data, default_spec, report)
+        assert len(records) == 2  # the broken game dropped entirely
+        assert [line for line, _ in report.row_errors] == [4, 5]
+        assert report.row_errors[0][1] == message
 
 
 def test_round_trip_through_emitter(default_spec):
