@@ -7,11 +7,16 @@ then its left subtree, then its right).  A node is scanned when it may
 split: below ``max_depth``, with at least ``2 * min_leaf`` rows and both
 classes present.  Any change to how trees are grown must keep this order,
 or the forests of every seed change.
+
+``grow_forests`` grows the forests of many seeds in lockstep, each seed
+drawing in this order from its own generator: every round scans the next
+node of each unfinished seed, all in one ``kernels.best_split`` call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +77,70 @@ def lookback_dataset(
     return x, np.array(labels, dtype=np.int8), keys
 
 
+def grow_forests(
+    x: np.ndarray, y: np.ndarray, seeds: Iterable[int], n_trees: int = 100, max_depth: int = 10, min_leaf: int = 1
+) -> Iterator[tuple[int, Tree]]:
+    """One forest per seed, grown in lockstep; yields ``(position of the seed,
+    tree)`` as each tree is finished, each seed's trees in order."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 training rows")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    y = y.astype(np.int64)
+    keys, values = kernels.split_keys(x, y)
+    columns = np.ascontiguousarray(x.T)  # each feature's values contiguous, for the partition
+    growers = [_grow(columns, y, np.random.default_rng(seed), n_trees, max_depth, min_leaf) for seed in seeds]
+    pending = {s: next(grower, None) for s, grower in enumerate(growers)}
+    while True:
+        for s in list(pending):
+            while isinstance(pending[s], Tree):
+                yield s, pending[s]
+                pending[s] = next(growers[s], None)
+            if pending[s] is None:
+                del pending[s]
+        if not pending:
+            return
+        splits = kernels.best_split(keys, values, list(pending.values()), min_leaf)
+        pending = {s: growers[s].send(split) for s, split in zip(pending, splits)}
+
+
+def _grow(columns, y, rng, n_trees, max_depth, min_leaf) -> Generator:
+    """One seed's trees, each grown in preorder off an explicit stack.  Yields
+    ``(rows, candidate features)`` for every scanned node, to be sent back
+    its ``kernels.best_split`` result, and each finished tree."""
+    d, n = columns.shape
+    n_candidates = max(1, int(math.isqrt(d)))
+    for _ in range(n_trees):
+        sample = np.sort(rng.integers(0, n, size=n))
+        tree = Tree()
+        stack = [(sample, int(y[sample].sum()), 0, None, 0)]  # (rows, positives, depth, parent's child list, parent)
+        while stack:
+            idx, n_pos, depth, children, parent = stack.pop()
+            node = len(tree.feature)
+            if children is not None:
+                children[parent] = node
+            tree.feature.append(-1)
+            tree.threshold.append(0.0)
+            tree.left.append(-1)
+            tree.right.append(-1)
+            tree.value.append(n_pos / idx.size)
+            tree.count.append(idx.size)
+            if depth >= max_depth or idx.size < 2 * min_leaf or n_pos in (0, idx.size):
+                continue
+            best_feat, best_thresh, _, left_pos = yield idx, rng.permutation(d)[:n_candidates]
+            if best_feat < 0:
+                continue
+            go_left = columns[best_feat][idx] <= best_thresh
+            tree.feature[node] = best_feat
+            tree.threshold[node] = best_thresh
+            # The right child is pushed first, so the left subtree grows (and draws) first.
+            stack.append((idx[~go_left], n_pos - left_pos, depth + 1, tree.right, node))
+            stack.append((idx[go_left], left_pos, depth + 1, tree.left, node))
+        yield tree
+
+
 def forest_train(
     x: np.ndarray,
     y: np.ndarray,
@@ -85,46 +154,7 @@ def forest_train(
     Labels are 0 or 1.  Single-class data grows one-leaf trees, a constant
     predictor.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 training rows")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    y = y.astype(np.int64)
-    keys, values = kernels.split_keys(x, y)
-    rng = np.random.default_rng(seed)
-    n, d = x.shape
-    n_candidates = max(1, int(math.isqrt(d)))
-
-    def grow(tree: Tree, idx: np.ndarray, n_pos: int, depth: int) -> int:
-        node = len(tree.feature)
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(n_pos / idx.size)
-        tree.count.append(idx.size)
-        if depth >= max_depth or idx.size < 2 * min_leaf or n_pos in (0, idx.size):
-            return node
-        feats = rng.permutation(d)[:n_candidates]
-        best_feat, best_thresh, _, left_pos = kernels.best_split(keys, values, idx, feats, min_leaf)
-        if best_feat < 0:
-            return node
-        go_left = x[idx, best_feat] <= best_thresh
-        tree.feature[node] = best_feat
-        tree.threshold[node] = best_thresh
-        tree.left[node] = grow(tree, idx[go_left], left_pos, depth + 1)
-        tree.right[node] = grow(tree, idx[~go_left], n_pos - left_pos, depth + 1)
-        return node
-
-    trees = []
-    for _ in range(n_trees):
-        sample = np.sort(rng.integers(0, n, size=n))
-        tree = Tree()
-        grow(tree, sample, int(y[sample].sum()), 0)
-        trees.append(tree)
-    return Forest(trees=trees)
+    return Forest(trees=[tree for _, tree in grow_forests(x, y, [seed], n_trees, max_depth, min_leaf)])
 
 
 def forest_predict(forest: Forest, row: np.ndarray) -> float:
@@ -132,8 +162,8 @@ def forest_predict(forest: Forest, row: np.ndarray) -> float:
     return float(np.mean([tree.apply(row) for tree in forest.trees]))
 
 
-def _tree_values(tree: Tree, x: np.ndarray) -> np.ndarray:
-    """Leaf value of every row, walking all rows down the tree together."""
+def _tree_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """The leaf every row reaches, walking all rows down the tree together."""
     feature = np.array(tree.feature, dtype=np.int64)
     threshold = np.array(tree.threshold, dtype=np.float64)
     left = np.array(tree.left, dtype=np.int64)
@@ -146,7 +176,7 @@ def _tree_values(tree: Tree, x: np.ndarray) -> np.ndarray:
         rows, at = rows[inner], at[inner]
         go_left = x[rows, feature[at]] <= threshold[at]
         node[rows] = np.where(go_left, left[at], right[at])
-    return np.array(tree.value, dtype=np.float64)[node]
+    return node
 
 
 def forest_predict_many(forest: Forest, x: np.ndarray) -> np.ndarray:
@@ -154,7 +184,21 @@ def forest_predict_many(forest: Forest, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     leaves = np.empty((x.shape[0], len(forest.trees)), dtype=np.float64)
     for j, tree in enumerate(forest.trees):
-        leaves[:, j] = _tree_values(tree, x)
+        leaves[:, j] = np.array(tree.value, dtype=np.float64)[_tree_leaves(tree, x)]
     # A mean along the contiguous last axis sums each row pairwise, as
     # np.mean does over one row's leaf values.
     return leaves.mean(axis=1)
+
+
+def seed_predictions(
+    x: np.ndarray, y: np.ndarray, x_test: np.ndarray, seeds: int, n_trees: int = 100, max_depth: int = 10,
+    min_leaf: int = 1,
+) -> np.ndarray:
+    """Row s is ``forest_predict_many(forest_train(x, y, ..., seed=s),
+    x_test)``, for s in ``range(seeds)``.  Each tree is scored as soon as it
+    is grown and then dropped, so no finished forest is kept."""
+    kept = [[] for _ in range(seeds)]  # per tree, its leaf values and each row's leaf, in the narrowest type
+    for s, tree in grow_forests(x, y, range(seeds), n_trees, max_depth, min_leaf):
+        kept[s].append((np.array(tree.value), _tree_leaves(tree, x_test).astype(np.min_scalar_type(len(tree.value)))))
+    # Each seed's (rows, trees) leaf matrix, summed along its contiguous last axis as forest_predict_many sums.
+    return np.array([np.column_stack([value[leaf] for value, leaf in trees]).mean(axis=1) for trees in kept])

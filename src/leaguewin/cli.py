@@ -401,9 +401,12 @@ def _cmd_grid_search(args) -> tuple[dict, str]:
     grid = doc.get("grid")
     if grid is not None:
         _check(grid, "config", args.config, GCN_GRID_TYPES, required=True)
+    config = _train_config(args, doc)
+    # Building the cells checks every setting in the grid before the CSV is read.
+    _made("config", args.config, experiment.gcn_grid_cells, grid or experiment.default_gcn_grid(), config)
     spec = _feature_spec(args, doc)
     records = _records(args, spec)
-    report = experiment.grid_search_gcn(records, plan, grid, _train_config(args, doc), spec)
+    report = experiment.grid_search_gcn(records, plan, grid, config, spec)
     winner = [r for r in report.rows if r.note == "winner"][0]
     summary = f"winner: {winner.model} + {winner.dataset}, test acc {winner.test_accuracy:.4f}"
     return _report_outputs(args, report, "grid_report"), summary
@@ -430,6 +433,8 @@ def _cmd_baseline_scope(args) -> tuple[dict, str]:
 
 def _cmd_baseline_forest(args) -> tuple[dict, str]:
     plan = _plan(args)
+    if args.lookback < 1:
+        raise ValueError(f"--lookback must be >= 1, got {args.lookback}")
     records = _records(args)
     row = experiment.random_forest_row(
         records, plan, lookback=args.lookback, mode=args.mode or "delta"

@@ -192,13 +192,14 @@ def default_gcn_grid() -> dict[str, list]:
     }
 
 
-def gcn_grid_cells(grid: dict[str, list]) -> list[tuple[list[int], float, str, str]]:
+def gcn_grid_cells(grid: dict[str, list], base_config: gcn.TrainConfig) -> list[tuple[gcn.TrainConfig, str]]:
+    """Every grid cell as ``(base_config with the cell's settings, dataset)``; raises on an out-of-range value."""
     cells = []
     for h1, h2, p, m, d in product(
         grid["hidden1"], grid["hidden2"], grid["dropout"], grid["model"], grid["dataset"]
     ):
         hidden = [h1] if h2 is None else [h1, h2]
-        cells.append((hidden, p, m, d))
+        cells.append((replace(base_config, hidden_dims=hidden, dropout=p, propagator_kind=m), d))
     return cells
 
 
@@ -210,14 +211,7 @@ def grid_search_gcn(
     spec: FeatureSpec | None = None,
 ) -> ExperimentReport:
     """Evaluate every grid cell by validation accuracy; test only the winner."""
-    if grid is None:
-        grid = default_gcn_grid()
-    if base_config is None:
-        base_config = gcn.TrainConfig()
-    cells = [
-        (replace(base_config, hidden_dims=hidden, dropout=dropout, propagator_kind=kind), dataset)
-        for hidden, dropout, kind, dataset in gcn_grid_cells(grid)
-    ]
+    cells = gcn_grid_cells(default_gcn_grid() if grid is None else grid, base_config or gcn.TrainConfig())
     if not cells:
         raise ValueError("empty grid")
     rows = []
@@ -282,11 +276,8 @@ def random_forest_row(
             dataset=mode,
             note="skipped: not enough game history",
         )
-    accs = []
-    for s in range(seeds):
-        forest = rf.forest_train(x_train, y_train, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=s)
-        pred = rf.forest_predict_many(forest, x_test) > 0.5
-        accs.append(float((pred == (y_test == 1)).mean()))
+    probs = rf.seed_predictions(x_train, y_train, x_test, seeds, n_trees, max_depth, min_leaf)
+    accs = [float(((p > 0.5) == (y_test == 1)).mean()) for p in probs]
     return ExperimentRow(
         model=f"random forest (lookback={lookback})",
         dataset=mode,

@@ -3,12 +3,12 @@
 ``scope_pass`` is the sequential Elo pass.  Elo is sequential over games but
 independent across configurations, so ratings are held as an
 ``(n_teams, n_configs)`` array and the games are walked once for the whole
-SCOPE lattice.  ``best_split`` is the Gini split scan run at every tree node
-of every forest; it sorts each candidate feature's integer keys (value rank
-and label, made once per forest by ``split_keys``) once, scores every
-threshold from cumulative label counts with both sides of the cut stacked
-into one array, and returns the left side's positive count so the grower
-never recounts a child's labels.
+SCOPE lattice.  ``best_split`` is the Gini split scan of a batch of tree
+nodes (one per forest grown in lockstep); it sorts the candidate features'
+integer keys (value rank and label, made once per forest by ``split_keys``)
+for all the nodes at once, scores every threshold from cumulative label
+counts with both sides of the cut stacked into one array, and returns the
+left side's positive count so the grower never recounts a child's labels.
 
 Both evaluate the same floating-point expressions, in the same operand
 order, as the scalar rules they replace (``baselines.scope.scope_update``
@@ -86,13 +86,16 @@ def split_keys(x, y):
     return keys, values
 
 
-def best_split(keys, values, sample_idx, feat_idx, min_leaf):
-    """Gini-minimizing axis-aligned split over the candidate features.
+def best_split(keys, values, nodes, min_leaf):
+    """Gini-minimizing axis-aligned split of each node over its candidate features.
 
-    ``keys`` and ``values`` come from ``split_keys``.  Cuts lie between
-    consecutive distinct values; splits leaving fewer than min_leaf rows on
-    either side are skipped.  Ties keep the first candidate feature and the
-    lowest threshold, so results are deterministic.
+    ``keys`` and ``values`` come from ``split_keys``.  ``nodes`` is a list of
+    ``(sample_idx, feat_idx)``, each with at least one row and all with the
+    same number of candidates; they are scanned in one segmented pass, with
+    no padding.  Cuts lie between consecutive distinct values; splits
+    leaving fewer than min_leaf rows on either side are skipped.  Ties keep
+    the first candidate feature and the lowest threshold, so results are
+    deterministic.
 
     The threshold between sorted neighbours a < b is the midpoint
     ``0.5 * (a + b)`` when a <= midpoint < b, and a otherwise (the midpoint
@@ -100,38 +103,55 @@ def best_split(keys, values, sample_idx, feat_idx, min_leaf):
     overflows), the rule scikit-learn's splitter uses.  Either way
     ``x <= threshold`` sends exactly the rows up to the cut left.
 
-    Returns (feature, threshold, gini, left_pos): feature is -1 when no
-    valid split exists, and left_pos is the number of positive rows with
-    ``x[row, feature] <= threshold``.
+    Returns one (feature, threshold, gini, left_pos) per node: feature is -1
+    when no valid split exists, and left_pos is the number of positive rows
+    with ``x[row, feature] <= threshold``.
     """
-    m = sample_idx.shape[0]
-    # A cut after sorted position s leaves s + 1 rows left and m - s - 1
-    # right; both sides keep min_leaf rows for s in [lo, hi).
-    lo = max(min_leaf, 1) - 1
-    hi = m - max(min_leaf, 1)
-    if lo >= hi:
-        return -1, 0.0, math.inf, 0
-    node_keys = keys.take(feat_idx, axis=0).take(sample_idx, axis=1)  # (n_candidates, m)
-    node_keys.sort(axis=1)
-    rank = node_keys >> 1
-    pos = (node_keys & 1).cumsum(axis=1)
-    left = pos[:, lo:hi]
-    n_left = np.arange(lo + 1, hi + 1)
-    # Left and right sides stacked on a leading axis of 2: one pass scores
-    # both with the elementwise expressions of the per-side rule.
-    counts = np.array((left, pos[0, -1] - left))
-    sizes = np.array((n_left, m - n_left))[:, None, :]
-    p = counts / sizes
+    n = keys.shape[1]
+    sizes = np.array([idx.shape[0] for idx, _ in nodes])
+    starts = sizes.cumsum() - sizes
+    node = np.repeat(np.arange(len(nodes)), sizes)  # each column's node
+    feats = np.array([f for _, f in nodes])  # (nodes, candidates)
+    # Keys are below 2n: offset by node * 2n, each node's rows stay together through one sort per
+    # candidate, run on the narrowest unsigned type that holds every offset key.
+    node_keys = keys.take(np.repeat(feats.T * n, sizes, axis=1) + np.concatenate([idx for idx, _ in nodes]))
+    node_keys = (node_keys + node * (2 * n)).astype(np.min_scalar_type(2 * n * len(nodes)))
+    node_keys.sort(axis=1)  # (candidates, rows of all nodes)
+    rank = node_keys >> 1  # value rank + node * n
+    pos = (node_keys & 1).cumsum(axis=1, dtype=np.float64)  # whole counts as floats: exact, and no casts below
+    before = pos.take(starts, axis=1) - (node_keys.take(starts, axis=1) & 1)  # positives ahead of each node
+    m = sizes.take(node).astype(np.float64)
+    n_left = np.arange(1.0, node.size + 1) - starts.take(node)  # rows left of a cut after each column
+    n_right = m - n_left
+    # Both sides of every cut, stacked on a leading axis of 2, scored in place by the per-side rule
+    # sides * (1 - p * p - q * q), p = counts / sides, q = 1 - p, in its order.  A node's last
+    # column has an empty right side; it divides by 1 and is masked.
+    p = np.empty((2, *pos.shape))
+    np.subtract(pos, before.take(node, axis=1), out=p[0])
+    np.subtract((pos[0].take(starts + sizes - 1) - before[0]).take(node), p[0], out=p[1])
+    sides = np.array((n_left, np.maximum(n_right, 1.0)))[:, None, :]
+    p /= sides
     q = 1.0 - p
-    weighted = sizes * (1.0 - p * p - q * q)
-    gini = (weighted[0] + weighted[1]) / m
-    gini[rank[:, lo:hi] == rank[:, lo + 1 : hi + 1]] = np.inf  # no cut between equal values
-    j, s = divmod(int(gini.argmin()), hi - lo)  # first minimum in (candidate, threshold) order
-    if gini[j, s] == np.inf:
-        return -1, 0.0, math.inf, 0
-    feature = int(feat_idx[j])
-    below, above = float(values[feature, rank[j, lo + s]]), float(values[feature, rank[j, lo + s + 1]])
-    threshold = 0.5 * (below + above)
-    if not below <= threshold < above:
-        threshold = below
-    return feature, threshold, float(gini[j, s]), int(left[j, s])
+    q *= q
+    np.subtract(1.0, np.square(p, out=p), out=p)
+    p -= q
+    p *= sides
+    gini = (p[0] + p[1]) / m
+    tie = np.ones(rank.shape, dtype=bool)  # the batch's last column ends a node: no cut after it
+    np.equal(rank[:, :-1], rank[:, 1:], out=tie[:, :-1])  # no cut between equal values
+    np.putmask(gini, tie | (np.minimum(n_left, n_right) < max(min_leaf, 1)), np.inf)
+    # Each node's first minimum in (candidate, threshold) order: its first candidate to reach it, then the column.
+    per_candidate = np.minimum.reduceat(gini, starts, axis=1)  # (candidates, nodes)
+    best = per_candidate.min(axis=0)
+    j = (per_candidate == best).argmax(axis=0)
+    hits = np.flatnonzero(gini.take(j.take(node) * node.size + np.arange(node.size)) == best.take(node))
+    col = hits[np.searchsorted(hits, starts)]  # an empty right side scores inf, so every node has a hit
+    feature = feats[np.arange(len(nodes)), j]
+    below = values[feature, rank[j, col] % n].tolist()
+    above = values[feature, rank[j, np.minimum(col + 1, node.size - 1)] % n].tolist()
+    left_pos = (pos[j, col] - before[j, np.arange(len(nodes))]).tolist()
+    splits = []
+    for f, a, b, g, left in zip(feature.tolist(), below, above, best.tolist(), left_pos):
+        mid = 0.5 * (a + b)  # Python floats: a sum past the largest double is inf, with no warning
+        splits.append((f, mid if a <= mid < b else a, g, int(left)) if g < math.inf else (-1, 0.0, math.inf, 0))
+    return splits

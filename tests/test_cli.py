@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
+from leaguewin import cli
 from leaguewin.cli import COMMANDS, cli_main
 
 
@@ -589,6 +590,31 @@ def test_grid_search_bad_grid_exits_1_naming_the_key(grid, message, season_csv, 
     out = tmp_path / "o"
     argv = ["grid-search", "--data", str(season_csv), "--plan", str(plan_json), "--config", str(config)]
     assert cli_main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message.format(config=config)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["grid-search", "--plan", "{plan}"], {"grid": _GRID | {"dropout": [0.1, 1.5]}}, "config {config}: dropout must lie in [0, 1)"),
+        (["grid-search", "--plan", "{plan}"], {"grid": _GRID | {"hidden1": [8, 0]}}, "config {config}: hidden_dims entries must be >= 1, got [0]"),
+        (["baseline-forest", "--plan", "{plan}", "--lookback", "0"], None, "--lookback must be >= 1, got 0"),
+    ],
+    ids=["grid-dropout", "grid-hidden1-zero", "forest-lookback-zero"],
+)
+def test_bad_settings_exit_1_before_the_csv_is_parsed(argv, doc, message, season_csv, plan_json, tmp_path, capsys, monkeypatch):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the match CSV was parsed before the settings were checked")
+
+    monkeypatch.setattr(cli, "parse_match_csv", no_parse)
+    config = tmp_path / "cfg.json"
+    argv = [a.format(plan=plan_json) for a in argv]
+    if doc is not None:
+        config.write_text(json.dumps(doc))
+        argv += ["--config", str(config)]
+    out = tmp_path / "o"
+    assert cli_main([*argv, "--data", str(season_csv), "--out", str(out)]) == 1
     assert f"error: {message.format(config=config)}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from conftest import cross_league
@@ -78,9 +80,9 @@ def test_shuffled_fit_leagues_score_at_chance():
 
 def test_default_grid_cardinality():
     grid = default_gcn_grid()
-    cells = gcn_grid_cells(grid)
-    two_layer = [c for c in cells if len(c[0]) == 2]
-    one_layer = [c for c in cells if len(c[0]) == 1]
+    cells = gcn_grid_cells(grid, gcn.TrainConfig())
+    two_layer = [c for c in cells if len(c[0].hidden_dims) == 2]
+    one_layer = [c for c in cells if len(c[0].hidden_dims) == 1]
     assert len(two_layer) == 3 * 3 * 3 * 2 * 2 == 108
     assert len(one_layer) == 3 * 3 * 2 * 2 == 36
     assert len(cells) == 144
@@ -177,7 +179,9 @@ def test_grid_cells_on_shared_splits_match_train_for_plan():
         report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
     assert counts["forward"] == 2 * counts["epochs"] + 1
     assert len(report.rows) == 8
-    for row, (hidden, dropout, kind, dataset) in zip(report.rows, gcn_grid_cells(EIGHT_CELLS)):
+    axes = [EIGHT_CELLS[key] for key in ("hidden1", "hidden2", "dropout", "model", "dataset")]
+    for row, (h1, h2, dropout, kind, dataset) in zip(report.rows, product(*axes), strict=True):
+        hidden = [h1] if h2 is None else [h1, h2]
         config = gcn.TrainConfig(
             hidden_dims=hidden, dropout=dropout, propagator_kind=kind, seed=2, max_epochs=20
         )

@@ -40,19 +40,20 @@ def scalar_best_split(x, y, sample_idx, feat_idx, min_leaf):
     return (*best, left_pos)
 
 
-def scalar_kernel(keys, values, sample_idx, feat_idx, min_leaf):
-    """``scalar_best_split`` behind the signature of ``kernels.best_split``.
+def scalar_kernel(keys, values, nodes, min_leaf):
+    """``scalar_best_split`` of each node, behind the signature of ``kernels.best_split``.
 
     Decodes the matrix and labels from ``kernels.split_keys`` output.
     """
     x = np.take_along_axis(values, keys >> 1, axis=1).T
-    return scalar_best_split(x, keys[0] & 1, sample_idx, feat_idx, min_leaf)
+    return [scalar_best_split(x, keys[0] & 1, sample_idx, feat_idx, min_leaf) for sample_idx, feat_idx in nodes]
 
 
 def fast_kernel(x, y, sample_idx, feat_idx, min_leaf):
-    """``kernels.best_split`` on the matrix and labels the scalar scan takes."""
+    """``kernels.best_split`` of one node, on the matrix and labels the scalar scan takes."""
     keys, values = kernels.split_keys(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64))
-    return kernels.best_split(keys, values, sample_idx, feat_idx, min_leaf)
+    [split] = kernels.best_split(keys, values, [(sample_idx, feat_idx)], min_leaf)
+    return split
 
 
 def reference_forest(x, y, n_trees, max_depth, min_leaf, seed):
@@ -168,6 +169,59 @@ def test_best_split_matches_scalar_scan():
         min_leaf = int(rng.choice([1, 2, 3, 5, 20]))
         got = fast_kernel(x, y, idx, feats, min_leaf)
         assert got == scalar_best_split(x, y, idx, feats, min_leaf), (trial, min_leaf)
+
+
+def bits(split):
+    """A split with its floats as hex text, so -0.0 and 0.0 differ."""
+    feature, threshold, gini, left_pos = split
+    return feature, float.hex(threshold), float.hex(gini), left_pos
+
+
+def test_batched_best_split_matches_scalar_scan_node_by_node():
+    # Ragged nodes of 2 to 260 rows, all drawn from one bootstrap sample of
+    # rounded features: ties, repeated rows, and both -0.0 and 0.0.
+    rng = np.random.default_rng(11)
+    n, d = 260, 9
+    x = np.round(rng.normal(size=(n, d)), 1)
+    x[:5, 2] = -0.0
+    x[5:10, 2] = 0.0
+    y = (x[:, 0] - x[:, 1] + rng.normal(size=n) > 0).astype(np.int8)
+    keys, values = kernels.split_keys(x, y.astype(np.int64))
+    sample = np.sort(rng.integers(0, n, size=n))
+    rows = [sample, sample[:2], np.full(7, sample[3])]  # the repeated row has no valid cut
+    rows += [np.sort(rng.choice(sample, size=size, replace=False)) for size in (3, 4, 9, 30, 64, 129, 200, 259)]
+    rows.append(np.sort(sample[y[sample] == 1]))  # one class: every cut scores 0
+    nodes = [(idx, rng.permutation(d)[:3]) for idx in rows]
+    for min_leaf in (0, 1, 3, 5):
+        want = [bits(split) for split in scalar_kernel(keys, values, nodes, min_leaf)]
+        assert [bits(split) for split in kernels.best_split(keys, values, nodes, min_leaf)] == want, min_leaf
+        assert {split[0] for split in want} > {-1}  # nodes without a cut among nodes with one
+        for node, split in zip(nodes, want):  # one-node batches
+            assert [bits(s) for s in kernels.best_split(keys, values, [node], min_leaf)] == [split]
+
+
+def test_lockstep_seeds_match_reference_grower_and_single_forests():
+    # The seeds' growers scan different numbers of nodes, so they finish in
+    # different rounds and later rounds scan fewer nodes.
+    rng = np.random.default_rng(12)
+    x = np.round(rng.normal(size=(150, 9)), 1)
+    y = (x[:, 0] + x[:, 1] + rng.normal(size=150) > 0).astype(np.int8)
+    x_test = np.vstack([np.round(rng.normal(size=(60, 9)), 1), x[:20]])
+    seeds, n_trees, max_depth, min_leaf = 4, 3, 6, 2
+    grown = [[] for _ in range(seeds)]
+    for s, tree in rf.grow_forests(x, y, range(seeds), n_trees, max_depth, min_leaf):
+        grown[s].append(tree)
+    scans = []
+    for seed in range(seeds):
+        want, seed_scans = reference_forest(x, y, n_trees, max_depth, min_leaf, seed)
+        assert repr(grown[seed]) == repr(want), seed
+        scans.append(seed_scans)
+    assert len(set(scans)) > 1
+    # 20 trees: past 8, numpy sums a contiguous row pairwise, not in order.
+    probs = rf.seed_predictions(x, y, x_test, seeds, 20, max_depth, min_leaf)
+    for seed in range(seeds):
+        forest = rf.forest_train(x, y, 20, max_depth, min_leaf, seed)
+        assert probs[seed].tobytes() == rf.forest_predict_many(forest, x_test).tobytes(), seed
 
 
 def test_split_keys_encode_value_rank_and_label():
@@ -287,9 +341,9 @@ def test_fallback_produces_same_forest_and_scope_results(monkeypatch):
     fast = rf.forest_train(x, y, n_trees=10, seed=0)
     scalar_calls = []
 
-    def counted_scalar(*args):
-        scalar_calls.append(args[2].size)
-        return scalar_kernel(*args)
+    def counted_scalar(keys, values, nodes, min_leaf):
+        scalar_calls.extend(sample_idx.size for sample_idx, _ in nodes)
+        return scalar_kernel(keys, values, nodes, min_leaf)
 
     monkeypatch.setattr(kernels, "best_split", counted_scalar)
     slow = rf.forest_train(x, y, n_trees=10, seed=0)
