@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..ingest import FeatureSpec, TeamGameRecord, build_feature_matrix, feature_row_key
+from ..ingest import FeatureSpec, TeamGameRecord, build_feature_matrix, paired_rows
 
 
 @dataclass
@@ -57,13 +57,15 @@ def lookback_dataset(
     """Per game: unweighted mean of the team's previous ``lookback`` feature
     vectors, labeled with the current result.  Games without enough history
     are skipped, so each team contributes max(0, games - lookback) rows.
+    Rows and keys follow ``ingest.paired_rows`` order, as feature-matrix
+    rows do: ``record_sort_key`` order, rows 2k and 2k+1 one game's sides.
     """
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
     if spec is None:
         spec = FeatureSpec.default()
     matrix = build_feature_matrix(records, spec, mode)
-    ordered = sorted(records, key=feature_row_key)
+    ordered = paired_rows(records)
     history: dict[str, list[int]] = {}
     rows, labels, keys = [], [], []
     for i, r in enumerate(ordered):

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .. import kernels
-from ..ingest import TeamGameRecord
+from ..ingest import TeamGameRecord, paired_rows
 
 # Each MoV function g(d, w90) = 1 + f(d)/f(w90) by name: g(0) = 1 for
 # lin/log/sqrt, g(w90) = 2, so w90 is the margin at which K doubles.
@@ -119,23 +119,18 @@ def scope_season_regress(state: ScopeState, config: ScopeConfig) -> ScopeState:
 
 
 def games_from_records(records: list[TeamGameRecord]) -> list[GameResult]:
-    """Collapse paired records to one chronological game result per game."""
-    games: list[GameResult] = []
-    seen: set[str] = set()
-    for r in records:
-        if r.game_id in seen:
-            continue
-        seen.add(r.game_id)
-        games.append(
-            GameResult(
-                game_id=r.game_id,
-                team=r.team,
-                opponent=r.opponent,
-                winner=r.team if r.won else r.opponent,
-                kill_diff=abs(r.kills - r.opponent_kills),
-            )
+    """One game result per game, in ``paired_rows`` order, from the side
+    listed first."""
+    return [
+        GameResult(
+            game_id=r.game_id,
+            team=r.team,
+            opponent=r.opponent,
+            winner=r.team if r.won else r.opponent,
+            kill_diff=abs(r.kills - r.opponent_kills),
         )
-    return games
+        for r in paired_rows(records)[::2]
+    ]
 
 
 @dataclass(frozen=True)

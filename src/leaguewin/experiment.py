@@ -122,6 +122,7 @@ def prepare_split(
 
 def final_test_accuracy(model: gcn.GcnModel, test_graph: lg.LeagueGraph) -> float:
     """The one place test-league labels are read."""
+    gcn.check_label_offset(model.config, test_graph, "test")
     prop = gcn.build_propagator(test_graph, model.config.propagator_kind, model.config.chebyshev_degree)
     logits, _ = gcn.forward(model, test_graph.features.values, prop, training=False)
     return gcn.masked_accuracy(logits, test_graph.labels, test_graph.label_mask)
@@ -270,7 +271,7 @@ def random_forest_row(
     test_recs = league_games(records, plan.test_league, plan.season)
     x_train, y_train, _ = rf.lookback_dataset(train_recs, lookback, mode, spec)
     x_test, y_test, _ = rf.lookback_dataset(test_recs, lookback, mode, spec)
-    if not len(x_train) or not len(x_test):
+    if len(x_train) < 2 or not len(x_test):  # grow_forests needs two training rows
         return ExperimentRow(
             model=f"random forest (lookback={lookback})",
             dataset=mode,

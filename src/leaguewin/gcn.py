@@ -218,13 +218,11 @@ def forward(
     propagator: lg.Propagator,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_masks: list[np.ndarray | None] | None = None,
     first_stage: list[np.ndarray] | None = None,
 ):
     """Run the network; returns (logits, cache) with everything backward needs.
 
-    ``dropout_masks`` replays recorded masks (used by the gradient checks);
-    otherwise masks are drawn from ``rng`` when training with dropout > 0.
+    Dropout masks are drawn from ``rng`` when training with dropout > 0.
     ``first_stage`` is the basis applied to ``x``, computed once by the
     caller; a pass without dropout reuses it for the first stage.
     """
@@ -235,8 +233,8 @@ def forward(
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"model expects {model.layer_dims[0]} input features, got {x.shape[1]}")
     use_dropout = training and model.config.dropout > 0.0
-    if use_dropout and rng is None and dropout_masks is None:
-        raise ValueError("training forward with dropout needs an rng or recorded masks")
+    if use_dropout and rng is None:
+        raise ValueError("training forward with dropout needs an rng")
     if use_dropout and first_stage is not None:
         raise ValueError("a precomputed first stage holds no dropout mask")
 
@@ -247,11 +245,8 @@ def forward(
             raise ValueError(f"stage {s}: basis size mismatch")
         mask = None
         if use_dropout:
-            if dropout_masks is not None:
-                mask = dropout_masks[s]
-            else:
-                keep = rng.random(h.shape) >= model.config.dropout
-                mask = keep / (1.0 - model.config.dropout)
+            keep = rng.random(h.shape) >= model.config.dropout
+            mask = keep / (1.0 - model.config.dropout)
         h_in = h * mask if mask is not None else h
         ph = first_stage if s == 0 and first_stage is not None else _apply(basis, [h_in] * len(basis))
         z = ph[0] @ stage_weights[0]
@@ -416,6 +411,14 @@ def build_propagator(g: lg.LeagueGraph, kind: str, degree: int) -> lg.Propagator
     return g.propagators[kind, degree]
 
 
+def check_label_offset(config: TrainConfig, g: lg.LeagueGraph, name: str) -> None:
+    """Raise unless ``g`` was labelled for ``config``'s convolution count:
+    labels set closer than that leak into the model's receptive field."""
+    convs = n_conv_stages(config.hidden_dims)
+    if g.convolutions != convs:
+        raise ValueError(f"{name} graph is labelled for {g.convolutions} convolution(s), but the model has {convs}")
+
+
 @_one_blas_thread  # see the module docstring
 def train(
     config: TrainConfig,
@@ -430,7 +433,7 @@ def train(
     returns its snapshot from the best-validation epoch; ``config`` alone
     sets the network, the seed of its weights and dropout masks, and the
     optimizer.  Both graphs must already be labeled with the same offset as
-    the config's convolution count.
+    the config's convolution count; ``check_label_offset`` raises otherwise.
     Their propagators come from ``build_propagator``, which keeps each on its
     graph, so models trained on one split share one build.  With
     ``train_metrics`` off, as ``compare`` and ``grid-search`` train, the
@@ -443,6 +446,7 @@ def train(
             raise ValueError(f"{name} graph has no features attached")
         if not g.label_mask.any():
             raise ValueError(f"{name} graph has no labeled nodes")
+        check_label_offset(config, g, name)
 
     x_train = np.asarray(train_graph.features.values, dtype=np.float64)
     x_val = np.asarray(val_graph.features.values, dtype=np.float64)

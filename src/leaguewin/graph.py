@@ -1,8 +1,9 @@
 """Team-game graph construction, propagation matrices, and leakage-safe labels.
 
-Each node is one team's side of one game.  A game's two nodes are joined by
-an opponent edge; consecutive games of the same team are joined by a
-previous-game edge, so node degree is between 1 and 3.
+Each node is one team's side of one game, in ``ingest.paired_rows`` order:
+nodes 2k and 2k+1 are one game's two sides, joined by an opponent edge.
+Consecutive games of the same team are joined by a previous-game edge, so
+node degree is between 1 and 3.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import FeatureMatrix, TeamGameRecord, feature_row_key
+from .ingest import FeatureMatrix, TeamGameRecord, paired_rows
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -35,6 +36,8 @@ class LeagueGraph:
     labels: np.ndarray  # training label per node, -1 where unlabeled
     label_mask: np.ndarray
     features: FeatureMatrix | None = None
+    # The convolution count assign_labels labelled for; None while unlabelled.
+    convolutions: int | None = None
     # gcn.build_propagator's builds on this graph, by (kind, degree).  Not an
     # init field, so a replace() copy starts empty and reuses no build.
     propagators: dict[tuple[str, int], Propagator] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -55,46 +58,23 @@ def build_league_graph(
 ) -> LeagueGraph:
     """Build the team-game graph for one league-season.
 
-    Nodes follow the feature-matrix row order (``feature_row_key``) so
-    matrix rows line up with them; an optional pre-built matrix is
-    validated against that order.
+    Nodes follow ``paired_rows`` order, as feature-matrix rows do; an
+    optional pre-built matrix is validated against that order.
     """
-    if not records:
-        return LeagueGraph(
-            nodes=[],
-            edges=set(),
-            adjacency=sp.csr_matrix((0, 0)),
-            outcomes=np.zeros(0, dtype=np.int8),
-            labels=np.full(0, -1, dtype=np.int8),
-            label_mask=np.zeros(0, dtype=bool),
-            features=features,
-        )
     league_seasons = {(r.league, r.season) for r in records}
-    if len(league_seasons) != 1:
+    if len(league_seasons) > 1:
         raise ValueError(f"records span multiple league-seasons: {sorted(league_seasons)}")
 
-    ordered = sorted(records, key=feature_row_key)
-    by_team: dict[str, list[TeamGameRecord]] = {}
-    for r in ordered:
-        by_team.setdefault(r.team, []).append(r)
-    team_index = {
-        (r.team, r.game_id): i
-        for games in by_team.values()
-        for i, r in enumerate(games)
-    }
-
-    nodes = [(r.team, r.game_id, team_index[(r.team, r.game_id)]) for r in ordered]
-    node_of = {(r.team, r.game_id): n for n, r in enumerate(ordered)}
-    edges: set[tuple[int, int]] = set()
+    ordered = paired_rows(records)
+    nodes = []
+    team_nodes: dict[str, list[int]] = {}  # each team's nodes, in game order
     for n, r in enumerate(ordered):
-        opp = node_of.get((r.opponent, r.game_id))
-        if opp is None:
-            raise ValueError(f"unpaired record for game {r.game_id}; validate upstream")
-        edges.add((min(n, opp), max(n, opp)))
-        idx = nodes[n][2]
-        if idx > 0:
-            prev = node_of[(r.team, by_team[r.team][idx - 1].game_id)]
-            edges.add((min(n, prev), max(n, prev)))
+        games = team_nodes.setdefault(r.team, [])
+        nodes.append((r.team, r.game_id, len(games)))
+        games.append(n)
+    edges = {(n, n + 1) for n in range(0, len(nodes), 2)}  # opponent edges
+    for games in team_nodes.values():
+        edges.update(zip(games, games[1:]))  # previous-game edges
 
     if features is not None:
         expected = [(t, g) for t, g, _ in nodes]
@@ -205,18 +185,16 @@ def assign_labels(graph: LeagueGraph, convolutions: int) -> LeagueGraph:
     """
     if convolutions < 1:
         raise ValueError("convolutions must be >= 1")
-    team_nodes: dict[str, dict[int, int]] = {}
-    for n, (team, _, idx) in enumerate(graph.nodes):
-        team_nodes.setdefault(team, {})[idx] = n
+    team_nodes: dict[str, list[int]] = {}  # each team's nodes, in game order
+    for n, (team, _, _) in enumerate(graph.nodes):
+        team_nodes.setdefault(team, []).append(n)
     labels = np.full(graph.n_nodes, -1, dtype=np.int8)
     mask = np.zeros(graph.n_nodes, dtype=bool)
     offset = convolutions + 1
-    for n, (team, _, idx) in enumerate(graph.nodes):
-        source = team_nodes[team].get(idx + offset)
-        if source is not None:
-            labels[n] = graph.outcomes[source]
-            mask[n] = True
-    return replace(graph, labels=labels, label_mask=mask)
+    for games in team_nodes.values():
+        labels[games[:-offset]] = graph.outcomes[games[offset:]]
+        mask[games[:-offset]] = True
+    return replace(graph, labels=labels, label_mask=mask, convolutions=convolutions)
 
 
 def graph_to_json(graph: LeagueGraph) -> str:

@@ -1,4 +1,10 @@
-"""Season match-log ingestion: CSV parsing, pairing validation, feature matrices."""
+"""Season match-log ingestion: CSV parsing, pairing validation, feature matrices.
+
+A league's rows have one order and one pairing rule, kept by ``paired_rows``:
+records in ``record_sort_key`` order, with rows 2k and 2k+1 the two sides of
+one game.  Feature-matrix rows, graph nodes, forest rows and SCOPE games all
+follow it, so a row's opponent is row ``i ^ 1``.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import zip_longest
 
 import numpy as np
 
@@ -176,9 +183,16 @@ def record_sort_key(r: TeamGameRecord):
     return (r.league, r.season, r.timestamp, r.game_id, r.team)
 
 
-def feature_row_key(r: TeamGameRecord):
-    # build_feature_matrix's row order, which graph nodes and forest rows follow.
-    return (r.league, r.timestamp, r.game_id, r.team)
+def paired_rows(records: list[TeamGameRecord]) -> list[TeamGameRecord]:
+    """``records`` in ``record_sort_key`` order, checked in one pass that
+    rows 2k and 2k+1 are the two sides of one game: the same game id, with
+    team and opponent mirrored.  Raises ``MatchLogError`` naming the first
+    game at fault."""
+    ordered = sorted(records, key=record_sort_key)
+    for a, b in zip_longest(ordered[::2], ordered[1::2]):
+        if b is None or (b.game_id, b.team, b.opponent) != (a.game_id, a.opponent, a.team):
+            raise MatchLogError(f"game {a.game_id}: {a.team}'s row has no paired row for {a.opponent}")
+    return ordered
 
 
 def parse_match_csv(
@@ -341,18 +355,18 @@ def build_feature_matrix(
     mode: str,
     report: QualityReport | None = None,
 ) -> FeatureMatrix:
-    """Assemble the dense feature matrix in (league, timestamp, game_id, team) order.
+    """Assemble the dense feature matrix, one row per record in ``paired_rows`` order.
 
     ``mode`` is ``raw`` (a team's own numbers) or ``delta`` (team minus
     opponent).  Missing raw values are imputed with the column mean before
     any delta is taken, which keeps delta rows of a game exact negations of
-    each other.
+    each other.  Either mode raises ``MatchLogError`` on unpaired records.
     """
     if mode not in ("raw", "delta"):
         raise ValueError(f"mode must be 'raw' or 'delta', got {mode!r}")
     if report is None:
         report = QualityReport()
-    ordered = sorted(records, key=feature_row_key)
+    ordered = paired_rows(records)
     d = len(spec.names)
     widths = {len(r.features) for r in ordered} - {d}
     if widths:
@@ -360,20 +374,10 @@ def build_feature_matrix(
     raw = np.array([r.features for r in ordered], dtype=np.float64).reshape(len(ordered), d)
     if raw.size:
         _impute_columns(raw, spec.names, report)
-    if mode == "delta":
-        row_of = {(r.team, r.game_id): i for i, r in enumerate(ordered)}
-        values = np.empty_like(raw)
-        for i, r in enumerate(ordered):
-            j = row_of.get((r.opponent, r.game_id))
-            if j is None:
-                raise MatchLogError(f"delta mode: opponent row missing for game {r.game_id}")
-            values[i] = raw[i] - raw[j]
-    else:
-        values = raw
     return FeatureMatrix(
         row_keys=[(r.team, r.game_id) for r in ordered],
         columns=list(spec.names),
-        values=values,
+        values=raw - raw[np.arange(len(ordered)) ^ 1] if mode == "delta" else raw,
     )
 
 

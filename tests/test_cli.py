@@ -419,6 +419,21 @@ def test_build_graph_outputs(season_csv, tmp_path):
         assert int(u) < int(v)
 
 
+def test_build_graph_output_bytes_are_pinned(season_csv, tmp_path):
+    # One seeded league's nodes, edges, labels and features, byte for byte.
+    out = tmp_path / "graph_out"
+    code = cli_main(
+        ["build-graph", "--data", str(season_csv), "--league", "AAA", "--season", "2020",
+         "--mode", "delta", "--layers", "2", "--out", str(out)]
+    )
+    assert code == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("graph.json", "edges.txt")}
+    assert digests == {
+        "graph.json": "5d48147c52920bb4f0c5d9200a607ac22a3de4baa08b4bd64bc9b0aeeebdfaa4",
+        "edges.txt": "003501aff3029e80983e2c1ce6af5143a90c6a7401baa302fa7df31292436831",
+    }
+
+
 def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     train_out = tmp_path / "train_out"
     code = cli_main(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from itertools import product
 
 import numpy as np
@@ -6,6 +8,7 @@ from conftest import cross_league
 
 from leaguewin import experiment, gcn, synth
 from leaguewin import graph as lg
+from leaguewin.baselines import forest as rf
 from leaguewin.experiment import (
     SplitPlan,
     compare_all,
@@ -14,6 +17,7 @@ from leaguewin.experiment import (
     grid_search_gcn,
     run_cross_league,
 )
+from leaguewin.ingest import FeatureSpec, TeamGameRecord
 
 
 def three_leagues(seed=200, skill=1.5, noise=1.0, seasons=1, first_season=2020, **kw):
@@ -281,6 +285,50 @@ def test_forest_row_notes_single_class_training_data():
     assert row.note == "single-class training data: constant predictor"
     assert row.test_accuracy is not None and row.std == 0.0
     assert experiment.random_forest_row(three_leagues(seed=100), PLAN, seeds=2).note == ""
+
+
+def _one_lookback_row_leagues():
+    """Each league: A plays B, C, B, C, so a lookback of 3 leaves A's last
+    game as the league's one forest row."""
+    rng = np.random.default_rng(0)
+    d = len(FeatureSpec.default().names)
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    records = []
+    for league in ("AAA", "BBB", "CCC"):
+        for day, opponent in enumerate("BCBC"):
+            game_id, won, ts = f"{league}-{day}", day % 2 == 0, t0 + timedelta(days=day)
+            records += [
+                TeamGameRecord(game_id, league, 2020, "A", opponent, ts, won, 9, 4, rng.normal(size=d)),
+                TeamGameRecord(game_id, league, 2020, opponent, "A", ts, not won, 4, 9, rng.normal(size=d)),
+            ]
+    return records
+
+
+def test_forest_row_skips_a_one_row_training_set():
+    records = _one_lookback_row_leagues()
+    train_recs = experiment.league_games(records, PLAN.train_league, PLAN.season)
+    assert len(rf.lookback_dataset(train_recs, 3)[0]) == 1
+    row = experiment.random_forest_row(records, PLAN, lookback=3, seeds=2)
+    assert (row.test_accuracy, row.note) == (None, "skipped: not enough game history")
+
+
+def test_training_on_graphs_labelled_for_another_convolution_count_raises():
+    train_g, val_g, _ = experiment.prepare_split(three_leagues(), PLAN, "delta", 1)
+    config = gcn.TrainConfig(hidden_dims=[8, 8], max_epochs=2)
+    with pytest.raises(ValueError, match="train graph is labelled for 1 convolution.*model has 2"):
+        gcn.train(config, train_g, val_g)
+    with pytest.raises(ValueError, match="train graph is labelled for None convolution"):
+        gcn.train(replace(config, hidden_dims=[8]), replace(train_g, convolutions=None), val_g)
+
+
+def test_scoring_a_test_graph_labelled_for_another_convolution_count_raises():
+    records = three_leagues()
+    _, _, test_g = experiment.prepare_split(records, PLAN, "delta", 2)
+    model = gcn.init_model(gcn.TrainConfig(hidden_dims=[8]), test_g.features.values.shape[1])
+    with pytest.raises(ValueError, match="test graph is labelled for 2 convolution.*model has 1"):
+        experiment.final_test_accuracy(model, test_g)
+    _, _, test_g = experiment.prepare_split(records, PLAN, "delta", 1)
+    assert 0.0 <= experiment.final_test_accuracy(model, test_g) <= 1.0
 
 
 def test_compare_all_skips_scope_without_history():

@@ -173,9 +173,17 @@ def test_gradient_zero_at_symmetric_minimum():
     assert max(np.abs(w).max() for s in grads for w in s) < 1e-8
 
 
-def finite_difference_check(model, x, prop, labels, mask, weight_decay, masks=None):
+def finite_difference_check(model, x, prop, labels, mask, weight_decay, mask_seed=None):
+    """Worst relative gap between backward's gradients and central
+    differences.  With ``mask_seed`` every forward trains on a fresh
+    ``default_rng(mask_seed)``, so each pass draws the same dropout masks."""
     eps = 1e-5
-    logits, cache = forward(model, x, prop, training=masks is not None, dropout_masks=masks)
+
+    def run():
+        training = mask_seed is not None
+        return forward(model, x, prop, training=training, rng=np.random.default_rng(mask_seed) if training else None)
+
+    logits, cache = run()
     grads = backward(cache, labels, mask, weight_decay)
     worst = 0.0
     for s, stage in enumerate(model.weights):
@@ -185,10 +193,10 @@ def finite_difference_check(model, x, prop, labels, mask, weight_decay, masks=No
                 idx = it.multi_index
                 orig = w[idx]
                 w[idx] = orig + eps
-                lp, _ = forward(model, x, prop, training=masks is not None, dropout_masks=masks)
+                lp, _ = run()
                 loss_p = masked_loss(lp, labels, mask, weight_decay, model.weights)
                 w[idx] = orig - eps
-                lm, _ = forward(model, x, prop, training=masks is not None, dropout_masks=masks)
+                lm, _ = run()
                 loss_m = masked_loss(lm, labels, mask, weight_decay, model.weights)
                 w[idx] = orig
                 numeric = (loss_p - loss_m) / (2 * eps)
@@ -214,12 +222,7 @@ def test_gradients_match_finite_differences_chebyshev_with_dropout_masks():
     config = TrainConfig(hidden_dims=[3], dropout=0.4, propagator_kind="gcn-cheby", chebyshev_degree=1, seed=2)
     model = init_model(config, 4)
     prop = chebyshev_basis(g, 1)
-    rng = np.random.default_rng(8)
-    masks = [
-        (rng.random((x.shape[0], 4)) >= 0.4) / 0.6,
-        (rng.random((x.shape[0], 3)) >= 0.4) / 0.6,
-    ]
-    assert finite_difference_check(model, x, prop, g.labels, g.label_mask, 0.01, masks) < 1e-4
+    assert finite_difference_check(model, x, prop, g.labels, g.label_mask, 0.01, mask_seed=8) < 1e-4
 
 
 def test_weight_decay_gradient_is_linear():

@@ -205,6 +205,12 @@ def test_assign_labels_five_games_offset_one():
         assert not g.label_mask[a_nodes[idx]]
 
 
+def test_assign_labels_records_its_convolution_count(medium_season):
+    g = build_league_graph(medium_season)
+    assert g.convolutions is None
+    assert [assign_labels(g, c).convolutions for c in (1, 2, 3)] == [1, 2, 3]
+
+
 def test_assign_labels_offset_exceeds_history():
     t0 = datetime(2020, 1, 1, tzinfo=UTC)
     records = []
