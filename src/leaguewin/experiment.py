@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
 from collections.abc import Iterator
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -151,18 +153,68 @@ def run_cross_league(
     """Train each ``(config, dataset)`` cell on the plan's train/val leagues.
 
     Yields each cell's row (test accuracy unset), best model and test graph
-    in order; only final_test_accuracy reads test labels.  A generator, so a
-    caller that keeps one winner holds one model, not one per cell.
+    in cell order; only final_test_accuracy reads test labels.  A generator,
+    so a caller that keeps one winner holds one model, not one per cell.
+
+    The cells train in a pool of ``cell_workers(len(cells))`` forked
+    processes, or in this process when that is 1.  Every split and every
+    propagator the cells need is built here first, so the workers inherit
+    them and build nothing; a worker receives a cell's index and returns
+    its ``(model, report)``, the same bits as training it here.  Closing the
+    generator, finishing it or a cell raising stops and joins the pool.
     """
     # Cells differ in the split only by dataset mode and convolution count
     # (the label offset): each distinct split is built once, and its graphs
-    # keep their propagators, so each (split, kind) pair builds them once.
+    # keep their propagators, so each (split, kind) pair builds them once,
+    # here, before any worker is forked.
     keys = dict.fromkeys((dataset, gcn.n_conv_stages(config.hidden_dims)) for config, dataset in cells)
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
-    for config, dataset in cells:
-        train_g, val_g, test_g = splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]
-        model, report = gcn.train(config, train_g, val_g, train_metrics=False)
-        yield gcn_row(config, dataset, report), model, test_g
+    jobs = [(config, splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]) for config, dataset in cells]
+    for config, (train_g, val_g, _) in jobs:
+        for g in (train_g, val_g):
+            gcn.build_propagator(g, config.propagator_kind, config.chebyshev_degree)
+    workers = cell_workers(len(jobs))
+    pool = None
+    if workers > 1:
+        # Fork, not spawn: the workers inherit ``jobs`` through initargs,
+        # unpickled, and import nothing.  A pool forks its workers before it
+        # starts its own threads.
+        pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (jobs,))
+    try:
+        trained = pool.imap(_train_worker_cell, range(len(jobs))) if pool else map(_train_cell, jobs)
+        for (config, dataset), (_, (_, _, test_g)), (model, report) in zip(cells, jobs, trained):
+            yield gcn_row(config, dataset, report), model, test_g
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+
+def cell_workers(n_cells: int) -> int:
+    """Processes to train ``n_cells`` cells in: one per core this process
+    may run on, at most one per cell; 1 (no pool) where this platform
+    cannot fork or report its cores."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_cells)
+
+
+def _train_cell(job):
+    """One cell's ``(best model, report)``; ``job`` is its config and its split."""
+    config, (train_g, val_g, _) = job
+    return gcn.train(config, train_g, val_g, train_metrics=False)
+
+
+_worker_jobs = None  # set only in a pool worker, by _start_worker
+
+
+def _start_worker(jobs):
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _train_worker_cell(index: int):
+    return _train_cell(_worker_jobs[index])
 
 
 def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> ExperimentRow:

@@ -39,8 +39,10 @@ series on a 2-core box, capped against uncapped, alternated (medians):
 every shape keeps its bits: two 64-wide stages on 440 nodes differ from the
 threaded run by about 1e-15 relative.  Capped, the weights no longer depend
 on the core count.  The count is process-wide, so while ``train`` runs, BLAS
-work that a caller runs in another thread shares the cap.  With another
-BLAS (or numpy 1.x) the cap does nothing.
+work that a caller runs in another thread shares the cap.  The cap applies
+per process: ``experiment.run_cross_league`` trains its cells in one forked
+worker per core, each of which caps its own ``train``, so busy threads never
+outnumber cores.  With another BLAS (or numpy 1.x) the cap does nothing.
 """
 
 from __future__ import annotations
@@ -67,9 +69,14 @@ MODEL_KINDS = {
 
 
 class TrainingDiverged(RuntimeError):
+    # args holds the epoch alone, so a pickled copy (a pool worker's) rebuilds
+    # with the same epoch and message.
     def __init__(self, epoch: int):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+        super().__init__(epoch)
         self.epoch = epoch
+
+    def __str__(self) -> str:
+        return f"training loss became non-finite at epoch {self.epoch}"
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import product
@@ -154,7 +156,9 @@ def test_grid_builds_each_split_propagator_once(monkeypatch):
 
 
 def count_forward_passes(mp):
-    """Patch gcn.forward and gcn.train to count forward calls and epochs run."""
+    """Patch gcn.forward and gcn.train to count forward calls and epochs run,
+    and train every cell in this process: a pool worker's counts are lost."""
+    mp.setattr(experiment, "cell_workers", lambda n_cells: 1)
     counts = {"forward": 0, "epochs": 0}
     real_forward, real_train = gcn.forward, gcn.train
 
@@ -181,6 +185,7 @@ def test_grid_cells_on_shared_splits_match_train_for_plan():
     with pytest.MonkeyPatch.context() as mp:
         counts = count_forward_passes(mp)
         report = grid_search_gcn(records, PLAN, EIGHT_CELLS, base)
+    assert counts["epochs"] > 0
     assert counts["forward"] == 2 * counts["epochs"] + 1
     assert len(report.rows) == 8
     axes = [EIGHT_CELLS[key] for key in ("hidden1", "hidden2", "dropout", "model", "dataset")]
@@ -193,6 +198,55 @@ def test_grid_cells_on_shared_splits_match_train_for_plan():
         assert len(direct_report.train_acc) == direct_report.epochs_run
         assert (row.model, row.dataset, row.params) == (direct.model, direct.dataset, direct.params)
         assert row.val_accuracy == direct.val_accuracy
+
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="cells train in a pool only where fork exists"
+)
+
+
+@fork_only
+def test_pooled_and_in_process_cells_agree():
+    # Raw and delta cells, gcn and gcn-cheby, one and two convolutions.
+    records = three_leagues(seed=100)
+    base = gcn.TrainConfig(seed=2, max_epochs=20)
+    reports = []
+    for workers in (lambda n_cells: min(2, n_cells), lambda n_cells: 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "cell_workers", workers)
+            reports.append((grid_search_gcn(records, PLAN, EIGHT_CELLS, base).to_json(),
+                            compare_all(records, PLAN, base, rf_seeds=1)))
+    (pooled_grid, pooled_compare), (one_grid, one_compare) = reports
+    assert pooled_grid == one_grid
+    gcn_rows = [0, 1, 2, 5]
+    assert [pooled_compare.rows[i] for i in gcn_rows] == [one_compare.rows[i] for i in gcn_rows]
+
+
+def test_cell_workers_are_one_per_core_at_most_one_per_cell():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert experiment.cell_workers(1) == 1
+    assert 1 <= experiment.cell_workers(144) <= cores
+
+
+@fork_only
+def test_no_cell_worker_outlives_the_generator(monkeypatch):
+    records = three_leagues(seed=100)
+    monkeypatch.setattr(experiment, "cell_workers", lambda n_cells: min(2, n_cells))  # a pool even on one core
+    cells = [(gcn.TrainConfig(hidden_dims=[8], seed=s, max_epochs=5), "delta") for s in range(4)]
+    assert len(list(run_cross_league(records, PLAN, cells))) == 4
+    assert multiprocessing.active_children() == []
+
+    rows = run_cross_league(records, PLAN, cells)
+    next(rows)
+    assert multiprocessing.active_children()  # the cells did train in a pool
+    rows.close()
+    assert multiprocessing.active_children() == []
+
+    diverging = [(replace(config, learning_rate=1e300), dataset) for config, dataset in cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(gcn.TrainingDiverged, match="non-finite at epoch"):
+            list(run_cross_league(records, PLAN, diverging))
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_recovers_planted_dataset_mode():
@@ -264,6 +318,7 @@ def test_compare_all_trains_its_gcn_rows_on_shared_splits():
         report = compare_all(records, PLAN, base, rf_seeds=2)
     assert sorted(splits) == [("delta", 1), ("delta", 2), ("raw", 1)]
     assert len(scored) == 4
+    assert counts["epochs"] > 0
     assert counts["forward"] == 2 * counts["epochs"] + 4
     gcn_rows = [report.rows[i] for i in (0, 1, 2, 5)]
     variants = [("gcn-cheby", [64], "raw"), ("gcn", [64], "delta"), ("gcn-cheby", [64, 64], "delta"),

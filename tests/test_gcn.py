@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -370,6 +371,14 @@ def test_train_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
             train(config, g, g_val)
+
+
+def test_training_diverged_survives_a_pickle_round_trip():
+    # Pool workers send their exceptions back pickled.
+    exc = pickle.loads(pickle.dumps(TrainingDiverged(2)))
+    assert isinstance(exc, TrainingDiverged)
+    assert exc.epoch == 2
+    assert str(exc) == "training loss became non-finite at epoch 2"
 
 
 def _blas_threads() -> int:
