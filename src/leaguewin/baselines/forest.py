@@ -11,6 +11,9 @@ or the forests of every seed change.
 ``grow_forests`` grows the forests of many seeds in lockstep, each seed
 drawing in this order from its own generator: every round scans the next
 node of each unfinished seed, all in one ``kernels.best_split`` call.
+Seeds are independent, so ``seed_predictions`` may grow any seed range
+alone: ``experiment`` splits a row's seeds into one contiguous range per
+worker process and stacks the ranges' rows back in seed order.
 """
 
 from __future__ import annotations
@@ -193,14 +196,16 @@ def forest_predict_many(forest: Forest, x: np.ndarray) -> np.ndarray:
 
 
 def seed_predictions(
-    x: np.ndarray, y: np.ndarray, x_test: np.ndarray, seeds: int, n_trees: int = 100, max_depth: int = 10,
+    x: np.ndarray, y: np.ndarray, x_test: np.ndarray, seeds: range, n_trees: int = 100, max_depth: int = 10,
     min_leaf: int = 1,
 ) -> np.ndarray:
-    """Row s is ``forest_predict_many(forest_train(x, y, ..., seed=s),
-    x_test)``, for s in ``range(seeds)``.  Each tree is scored as soon as it
-    is grown and then dropped, so no finished forest is kept."""
-    kept = [[] for _ in range(seeds)]  # per tree, its leaf values and each row's leaf, in the narrowest type
-    for s, tree in grow_forests(x, y, range(seeds), n_trees, max_depth, min_leaf):
+    """Row i is ``forest_predict_many(forest_train(x, y, ..., seed=seeds[i]),
+    x_test)``.  Each tree is scored as soon as it is grown and then dropped,
+    so no finished forest is kept.  A seed's row does not depend on the
+    other seeds in ``seeds``, so stacking the rows of contiguous ranges
+    gives the rows of their union."""
+    kept = [[] for _ in seeds]  # per tree, its leaf values and each row's leaf, in the narrowest type
+    for s, tree in grow_forests(x, y, seeds, n_trees, max_depth, min_leaf):
         kept[s].append((np.array(tree.value), _tree_leaves(tree, x_test).astype(np.min_scalar_type(len(tree.value)))))
     # Each seed's (rows, trees) leaf matrix, summed along its contiguous last axis as forest_predict_many sums.
     return np.array([np.column_stack([value[leaf] for value, leaf in trees]).mean(axis=1) for trees in kept])

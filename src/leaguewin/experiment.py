@@ -13,9 +13,11 @@ import json
 import multiprocessing
 import os
 from collections.abc import Iterator
+from contextlib import closing
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -156,65 +158,95 @@ def run_cross_league(
     in cell order; only final_test_accuracy reads test labels.  A generator,
     so a caller that keeps one winner holds one model, not one per cell.
 
-    The cells train in a pool of ``cell_workers(len(cells))`` forked
-    processes, or in this process when that is 1.  Every split and every
-    propagator the cells need is built here first, so the workers inherit
-    them and build nothing; a worker receives a cell's index and returns
-    its ``(model, report)``, the same bits as training it here.  Closing the
-    generator, finishing it or a cell raising stops and joins the pool.
+    The cells train through ``pool_map``, in ``cell_workers(len(cells))``
+    forked processes or in this one, on jobs ``cell_jobs`` builds here;
+    a worker's ``(model, report)`` has the same bits as training it here.
+    Closing the generator, finishing it or a cell raising stops and joins
+    the pool.
     """
-    # Cells differ in the split only by dataset mode and convolution count
-    # (the label offset): each distinct split is built once, and its graphs
-    # keep their propagators, so each (split, kind) pair builds them once,
-    # here, before any worker is forked.
+    jobs = cell_jobs(records, plan, cells, spec)
+    with closing(pool_map(_train_cell, jobs, cell_workers(len(jobs)))) as trained:
+        for (config, dataset), (_, (_, _, test_g)), (model, report) in zip(cells, jobs, trained):
+            yield gcn_row(config, dataset, report), model, test_g
+
+
+def cell_jobs(
+    records: list[TeamGameRecord],
+    plan: SplitPlan,
+    cells: list[tuple[gcn.TrainConfig, str]],
+    spec: FeatureSpec | None = None,
+) -> list[tuple[gcn.TrainConfig, tuple]]:
+    """Each cell's ``(config, (train, val, test graph))`` job for ``_train_cell``.
+
+    Cells differ in the split only by dataset mode and convolution count
+    (the label offset): each distinct split is built once, and its graphs
+    keep their propagators, so each (split, kind) pair builds them once,
+    here, before any worker is forked.
+    """
     keys = dict.fromkeys((dataset, gcn.n_conv_stages(config.hidden_dims)) for config, dataset in cells)
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
     jobs = [(config, splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]) for config, dataset in cells]
     for config, (train_g, val_g, _) in jobs:
         for g in (train_g, val_g):
             gcn.build_propagator(g, config.propagator_kind, config.chebyshev_degree)
-    workers = cell_workers(len(jobs))
-    pool = None
-    if workers > 1:
-        # Fork, not spawn: the workers inherit ``jobs`` through initargs,
-        # unpickled, and import nothing.  A pool forks its workers before it
-        # starts its own threads.
-        pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (jobs,))
-    try:
-        trained = pool.imap(_train_worker_cell, range(len(jobs))) if pool else map(_train_cell, jobs)
-        for (config, dataset), (_, (_, _, test_g)), (model, report) in zip(cells, jobs, trained):
-            yield gcn_row(config, dataset, report), model, test_g
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    return jobs
 
 
-def cell_workers(n_cells: int) -> int:
-    """Processes to train ``n_cells`` cells in: one per core this process
-    may run on, at most one per cell; 1 (no pool) where this platform
-    cannot fork or report its cores."""
+def cell_workers(n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` tasks in: one per core this process may
+    run on, at most one per task; 1 (no pool) where this platform cannot
+    fork or report its cores."""
     if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_cells)
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def pool_map(fn, jobs: list, workers: int) -> Iterator:
+    """``fn(job)`` for each job, yielded in job order.
+
+    With more than one worker the jobs run in a pool of
+    ``min(workers, len(jobs))`` forked processes, each worker taking the
+    next job in list order as it frees up; otherwise here, one by one.
+    Fork, not spawn: the workers inherit ``fn`` and ``jobs`` unpickled and
+    import nothing; a job's index goes in and only its result comes back.
+    A pool forks its workers before it starts its own threads.  Finishing,
+    closing the generator or a job raising terminates and joins the pool.
+    This is the one place the package starts processes.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        yield from map(fn, jobs)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn, jobs))
+    try:
+        yield from pool.imap(_run_worker_job, range(len(jobs)))
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+_worker_task = None  # (fn, jobs), set only in a pool worker, by _start_worker
+
+
+def _start_worker(fn, jobs):
+    global _worker_task
+    _worker_task = fn, jobs
+
+
+def _run_worker_job(index: int):
+    fn, jobs = _worker_task
+    return fn(jobs[index])
+
+
+def _call(task):
+    """``pool_map``'s function for a list of mixed tasks, each a ``partial``."""
+    return task()
 
 
 def _train_cell(job):
     """One cell's ``(best model, report)``; ``job`` is its config and its split."""
     config, (train_g, val_g, _) = job
     return gcn.train(config, train_g, val_g, train_metrics=False)
-
-
-_worker_jobs = None  # set only in a pool worker, by _start_worker
-
-
-def _start_worker(jobs):
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _train_worker_cell(index: int):
-    return _train_cell(_worker_jobs[index])
 
 
 def gcn_row(config: gcn.TrainConfig, dataset: str, report: gcn.TrainReport) -> ExperimentRow:
@@ -291,22 +323,33 @@ def compare_all(
     The SCOPE row needs the two seasons before plan.season for the test
     league (initialization and validation); without them it is skipped and
     the other rows still run.
+
+    The rows share nothing but ``records``, so they run as one task list
+    through ``pool_map``, dearest first: the forest's seeds in one
+    contiguous group per worker, the SCOPE row, then the four GCN cells.
+    The forest row is assembled from its groups in seed order, and each
+    GCN row's test league is scored here, in row order.
     """
     if gcn_config is None:
         gcn_config = gcn.TrainConfig()
     variants = [("gcn-cheby", [64], "raw"), ("gcn", [64], "delta"), ("gcn-cheby", [64, 64], "delta"),
                 ("gcn-cheby", [64], "delta")]
     cells = [(replace(gcn_config, hidden_dims=h, propagator_kind=k), dataset) for k, h, dataset in variants]
+    jobs = cell_jobs(records, plan, cells, spec)
+    workers = cell_workers(len(cells) + 2)  # the cells, the SCOPE row and at least one seed group
+    forest, labels = forest_tasks(records, plan, 5, "delta", rf_seeds, workers, spec)
+    tasks = [*forest, partial(scope_row, records, plan, scope_grid), *(partial(_train_cell, job) for job in jobs)]
+    results = list(pool_map(_call, tasks, workers))
     rows = []
-    for row, model, test_g in run_cross_league(records, plan, cells, spec):
-        row.test_accuracy = final_test_accuracy(model, test_g)
-        rows.append(row)
+    for (config, dataset), (_, (_, _, test_g)), (model, report) in zip(cells, jobs, results[len(forest) + 1:]):
+        rows.append(gcn_row(config, dataset, report))
+        rows[-1].test_accuracy = final_test_accuracy(model, test_g)
     # The table lists the two baselines before the last GCN row.
-    rows[3:3] = [
-        random_forest_row(records, plan, lookback=5, mode="delta", seeds=rf_seeds, spec=spec),
-        scope_row(records, plan, scope_grid),
-    ]
+    rows[3:3] = [forest_row(5, "delta", rf_seeds, labels, results[:len(forest)]), results[len(forest)]]
     return ExperimentReport(rows=rows)
+
+
+FOREST_PARAMS = {"n_trees": 100, "max_depth": 10, "min_leaf": 1}
 
 
 def random_forest_row(
@@ -317,28 +360,47 @@ def random_forest_row(
     seeds: int = 10,
     spec: FeatureSpec | None = None,
 ) -> ExperimentRow:
-    """Fit on the training league, score the test league, mean +/- std over seeds."""
-    n_trees, max_depth, min_leaf = 100, 10, 1
+    """Fit on the training league, score the test league, mean +/- std over
+    seeds; the seed groups run through ``pool_map``, one per worker."""
+    tasks, labels = forest_tasks(records, plan, lookback, mode, seeds, cell_workers(seeds), spec)
+    return forest_row(lookback, mode, seeds, labels, list(pool_map(_call, tasks, len(tasks))))
+
+
+def forest_tasks(
+    records: list[TeamGameRecord], plan: SplitPlan, lookback: int, mode: str, seeds: int, workers: int,
+    spec: FeatureSpec | None = None,
+) -> tuple[list[partial], tuple[np.ndarray, np.ndarray] | None]:
+    """The forest row's ``seed_predictions`` tasks, ``range(seeds)`` split
+    into one contiguous range per worker, and the ``(train, test)`` labels
+    the row is scored on; ``([], None)`` when the leagues have too few
+    lookback rows to fit or to score."""
     train_recs = league_games(records, plan.train_league, plan.season)
     test_recs = league_games(records, plan.test_league, plan.season)
     x_train, y_train, _ = rf.lookback_dataset(train_recs, lookback, mode, spec)
     x_test, y_test, _ = rf.lookback_dataset(test_recs, lookback, mode, spec)
     if len(x_train) < 2 or not len(x_test):  # grow_forests needs two training rows
-        return ExperimentRow(
-            model=f"random forest (lookback={lookback})",
-            dataset=mode,
-            note="skipped: not enough game history",
-        )
-    probs = rf.seed_predictions(x_train, y_train, x_test, seeds, n_trees, max_depth, min_leaf)
-    accs = [float(((p > 0.5) == (y_test == 1)).mean()) for p in probs]
-    return ExperimentRow(
-        model=f"random forest (lookback={lookback})",
-        dataset=mode,
-        params={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "seeds": seeds},
-        test_accuracy=float(np.mean(accs)),
-        std=float(np.std(accs)),
-        note="" if len(np.unique(y_train)) > 1 else "single-class training data: constant predictor",
-    )
+        return [], None
+    n = max(1, min(workers, seeds))
+    groups = [range(seeds * g // n, seeds * (g + 1) // n) for g in range(n)]
+    tasks = [partial(rf.seed_predictions, x_train, y_train, x_test, g, **FOREST_PARAMS) for g in groups]
+    return tasks, (y_train, y_test)
+
+
+def forest_row(lookback: int, mode: str, seeds: int, labels, predictions: list[np.ndarray]) -> ExperimentRow:
+    """The forest row from its seed groups' predictions, listed in seed
+    order; the skipped row when ``labels`` is None."""
+    row = ExperimentRow(model=f"random forest (lookback={lookback})", dataset=mode)
+    if labels is None:
+        row.note = "skipped: not enough game history"
+        return row
+    y_train, y_test = labels
+    accs = [float(((p > 0.5) == (y_test == 1)).mean()) for p in np.vstack(predictions)]
+    row.params = {**FOREST_PARAMS, "seeds": seeds}
+    row.test_accuracy = float(np.mean(accs))
+    row.std = float(np.std(accs))
+    if len(np.unique(y_train)) == 1:
+        row.note = "single-class training data: constant predictor"
+    return row
 
 
 def scope_row(

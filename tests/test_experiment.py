@@ -1,8 +1,11 @@
+import ast
+import json
 import multiprocessing
 import os
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ def three_leagues(seed=200, skill=1.5, noise=1.0, seasons=1, first_season=2020, 
 
 
 PLAN = SplitPlan("AAA", "BBB", "CCC", 2020)
+SMALL_SCOPE_GRID = {"base_k": [20, 40], "cutoff": [1700], "reduction": [0.3], "mov_func": ["none"], "w90": [100],
+                    "regression": [0, 0.4]}
 
 
 def test_plan_requires_distinct_leagues():
@@ -205,21 +210,29 @@ fork_only = pytest.mark.skipif(
 )
 
 
+def no_fork(*args, **kwargs):
+    raise AssertionError("one worker must run its tasks in this process")
+
+
 @fork_only
 def test_pooled_and_in_process_cells_agree():
-    # Raw and delta cells, gcn and gcn-cheby, one and two convolutions.
-    records = three_leagues(seed=100)
+    # The grid: raw and delta cells, gcn and gcn-cheby, one and two
+    # convolutions.  compare: three seasons, so the SCOPE row runs, and four
+    # forest seeds, split into two seed groups when pooled.
+    records = three_leagues(seed=100, seasons=3, first_season=2018)
     base = gcn.TrainConfig(seed=2, max_epochs=20)
     reports = []
-    for workers in (lambda n_cells: min(2, n_cells), lambda n_cells: 1):
+    for workers in (lambda n_tasks: min(2, n_tasks), lambda n_tasks: 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiment, "cell_workers", workers)
+            if workers(2) == 1:
+                mp.setattr(multiprocessing, "get_context", no_fork)
             reports.append((grid_search_gcn(records, PLAN, EIGHT_CELLS, base).to_json(),
-                            compare_all(records, PLAN, base, rf_seeds=1)))
-    (pooled_grid, pooled_compare), (one_grid, one_compare) = reports
-    assert pooled_grid == one_grid
-    gcn_rows = [0, 1, 2, 5]
-    assert [pooled_compare.rows[i] for i in gcn_rows] == [one_compare.rows[i] for i in gcn_rows]
+                            compare_all(records, PLAN, base, SMALL_SCOPE_GRID, rf_seeds=4).to_json()))
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0][1])
+    assert rows[4]["model"] == "scope (elo)" and rows[4]["test_accuracy"] is not None
+    assert rows[3]["params"]["seeds"] == 4 and rows[3]["std"] > 0
 
 
 def test_cell_workers_are_one_per_core_at_most_one_per_cell():
@@ -247,6 +260,57 @@ def test_no_cell_worker_outlives_the_generator(monkeypatch):
         with pytest.raises(gcn.TrainingDiverged, match="non-finite at epoch"):
             list(run_cross_league(records, PLAN, diverging))
     assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_no_worker_outlives_a_raising_task_or_a_closed_map(monkeypatch):
+    # The diverging cells run after the forest's seed groups in the task
+    # list; their error reaches the caller and the pool is gone.
+    records = three_leagues(seed=100)
+    monkeypatch.setattr(experiment, "cell_workers", lambda n_tasks: min(2, n_tasks))
+    diverging = gcn.TrainConfig(seed=0, max_epochs=5, learning_rate=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(gcn.TrainingDiverged, match="non-finite at epoch"):
+            compare_all(records, PLAN, diverging, rf_seeds=4)
+    assert multiprocessing.active_children() == []
+
+    results = experiment.pool_map(abs, [-1, 2, -3, 4], 2)
+    assert next(results) == 1
+    assert multiprocessing.active_children()
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+PROCESS_STARTERS = {"Pool", "Process", "ProcessPoolExecutor", "fork", "forkpty", "Popen", "system", "posix_spawn"}
+
+
+def _starts_a_process(node) -> bool:
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in PROCESS_STARTERS
+    if isinstance(node, ast.Import):
+        return any(alias.name == "subprocess" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "subprocess" or any(alias.name in PROCESS_STARTERS for alias in node.names)
+    return False
+
+
+def test_processes_start_only_in_pool_map():
+    # Every call or import that can start a process, keyed by its file and
+    # innermost enclosing function (None at module level).
+    package = Path(experiment.__file__).parent
+    found = set()
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if _starts_a_process(child):
+                found.add((path, inner))
+            visit(child, path, inner)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), path.relative_to(package).as_posix(), None)
+    assert found == {("experiment.py", "pool_map")}
 
 
 def test_grid_recovers_planted_dataset_mode():
@@ -282,9 +346,7 @@ def test_grid_reads_test_labels_once(monkeypatch):
 
 def test_compare_all_rows_and_formats():
     records = three_leagues(seed=100, seasons=3, first_season=2018)
-    report = compare_all(records, PLAN, gcn.TrainConfig(dropout=0.1, seed=0), rf_seeds=3,
-                         scope_grid={"base_k": [20, 40], "cutoff": [1700], "reduction": [0.3],
-                                     "mov_func": ["none"], "w90": [100], "regression": [0, 0.4]})
+    report = compare_all(records, PLAN, gcn.TrainConfig(dropout=0.1, seed=0), SMALL_SCOPE_GRID, rf_seeds=3)
     assert len(report.rows) == 6
     names = [r.model for r in report.rows]
     assert names.count("gcn-cheby (1 layer)") == 2

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from leaguewin import synth
-from leaguewin.baselines.forest import Forest, forest_predict, forest_predict_many, forest_train, lookback_dataset
+from leaguewin.baselines.forest import (
+    Forest,
+    forest_predict,
+    forest_predict_many,
+    forest_train,
+    lookback_dataset,
+    seed_predictions,
+)
 from leaguewin.ingest import FeatureSpec
 
 
@@ -152,3 +159,18 @@ def test_labels_must_be_binary():
 def test_requires_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
         forest_train(np.zeros((1, 2)), np.zeros(1, dtype=np.int8))
+
+
+def test_seed_ranges_stack_to_the_whole_range():
+    # Any contiguous split of the seeds, uneven ones included, stacks back
+    # to the rows of one call over all of them.
+    rng = np.random.default_rng(3)
+    x = np.round(rng.normal(size=(80, 6)), 1)
+    y = (x[:, 0] - x[:, 2] + rng.normal(size=80) > 0).astype(np.int8)
+    x_test = np.round(rng.normal(size=(30, 6)), 1)
+    n = 5
+    whole = seed_predictions(x, y, x_test, range(n), 12, 6, 1)
+    assert whole.shape == (n, 30)
+    for k in (1, 2, 4):
+        parts = [seed_predictions(x, y, x_test, seeds, 12, 6, 1) for seeds in (range(0, k), range(k, n))]
+        assert np.array_equal(np.vstack(parts), whole), k

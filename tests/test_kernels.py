@@ -218,7 +218,7 @@ def test_lockstep_seeds_match_reference_grower_and_single_forests():
         scans.append(seed_scans)
     assert len(set(scans)) > 1
     # 20 trees: past 8, numpy sums a contiguous row pairwise, not in order.
-    probs = rf.seed_predictions(x, y, x_test, seeds, 20, max_depth, min_leaf)
+    probs = rf.seed_predictions(x, y, x_test, range(seeds), 20, max_depth, min_leaf)
     for seed in range(seeds):
         forest = rf.forest_train(x, y, 20, max_depth, min_leaf, seed)
         assert probs[seed].tobytes() == rf.forest_predict_many(forest, x_test).tobytes(), seed
