@@ -37,9 +37,12 @@ class SplitPlan:
     season: int
 
     def __post_init__(self):
-        leagues = (self.train_league, self.val_league, self.test_league)
-        if len(set(leagues)) != 3:
-            raise ValueError(f"plan needs three distinct leagues, got {leagues}")
+        if len(set(self.leagues)) != 3:
+            raise ValueError(f"plan needs three distinct leagues, got {self.leagues}")
+
+    @property
+    def leagues(self) -> tuple[str, str, str]:
+        return (self.train_league, self.val_league, self.test_league)
 
 
 @dataclass
@@ -117,11 +120,15 @@ def prepare_split(
     """Three labeled graphs with val/test standardized by training-league stats."""
     if spec is None:
         spec = FeatureSpec.default()
+    train_g, val_g = _train_val_graphs(records, plan, mode, convolutions, spec)
+    stats = train_g.features.standardization_stats
+    return train_g, val_g, league_graph_for(records, plan.test_league, plan.season, spec, mode, convolutions, stats)
+
+
+def _train_val_graphs(records, plan: SplitPlan, mode: str, convolutions: int, spec: FeatureSpec):
     train_g = league_graph_for(records, plan.train_league, plan.season, spec, mode, convolutions)
     stats = train_g.features.standardization_stats
-    val_g = league_graph_for(records, plan.val_league, plan.season, spec, mode, convolutions, stats)
-    test_g = league_graph_for(records, plan.test_league, plan.season, spec, mode, convolutions, stats)
-    return train_g, val_g, test_g
+    return train_g, league_graph_for(records, plan.val_league, plan.season, spec, mode, convolutions, stats)
 
 
 def final_test_accuracy(model: gcn.GcnModel, test_graph: lg.LeagueGraph) -> float:
@@ -139,11 +146,15 @@ def train_for_plan(
     mode: str,
     spec: FeatureSpec | None = None,
 ):
-    """Train on the plan's train/val graphs without touching test labels."""
-    convs = gcn.n_conv_stages(config.hidden_dims)
-    train_g, val_g, test_g = prepare_split(records, plan, mode, convs, spec)
+    """Train on the plan's train/val graphs: ``(best model, report, the
+    training league's standardization stats)``.  The test league is only
+    checked to hold games; no graph is built for it."""
+    if spec is None:
+        spec = FeatureSpec.default()
+    train_g, val_g = _train_val_graphs(records, plan, mode, gcn.n_conv_stages(config.hidden_dims), spec)
+    league_games(records, plan.test_league, plan.season)
     best, report = gcn.train(config, train_g, val_g)
-    return best, report, test_g, train_g.features.standardization_stats
+    return best, report, train_g.features.standardization_stats
 
 
 def run_cross_league(

@@ -14,6 +14,7 @@ import io
 import json
 import operator
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import zip_longest
@@ -199,19 +200,29 @@ def parse_match_csv(
     data: bytes,
     spec: FeatureSpec | None = None,
     report: QualityReport | None = None,
+    leagues: Collection[str] | None = None,
 ) -> list[TeamGameRecord]:
     """Parse a UTF-8 match-log CSV into validated team-game records.
 
     Rows that fail numeric validation, an infinite feature value included,
-    are skipped and recorded in ``report`` with their line numbers; schema
-    and pairing violations raise.
+    are skipped and recorded in ``report`` with the line each row starts
+    on; schema and pairing violations raise.
+
+    ``leagues``, a collection of league names, limits the parse to rows
+    whose ``league`` cell, stripped, names one of them: only those are
+    converted, checked, counted in ``report.rows_read`` and paired, so the
+    records and row errors are those of the full parse filtered to them,
+    and another league's bad row or unpaired game is not an error.  A row
+    too short to hold a league cell is still checked.  In a file without a
+    ``"`` every line is one row, and another league's line is skipped
+    before it is decoded; otherwise every line is decoded and tokenized.
     """
     if spec is None:
         spec = FeatureSpec.default()
     if report is None:
         report = QualityReport()
-    rows = _csv_rows(data)
-    header = next(rows, None)
+    lines = enumerate(io.BytesIO(data), start=1)
+    header = next(_csv_rows(lines), (1, None))[1]
     if header is None:
         raise SchemaError("empty input: no header row")
     col = {name: i for i, name in enumerate(header)}
@@ -219,25 +230,31 @@ def parse_match_csv(
     missing += [c for c in spec.names if c not in col]
     if missing:
         raise SchemaError(f"missing required columns: {sorted(set(missing))}")
+    league_idx = col["league"]
+    if leagues is not None:
+        leagues = frozenset(leagues)
+        if b'"' not in data:
+            lines = _league_lines(lines, league_idx, leagues)
     flag_idx = col.get("is_regular_season")
     feature_idx = [col[n] for n in spec.names]
     # itemgetter returns a bare cell, not a tuple, for a single index.
     take = operator.itemgetter(*feature_idx) if len(feature_idx) > 1 else lambda row: [row[i] for i in feature_idx]
     values = array.array("d")  # every record's features, row after row
-    skipped = []  # line numbers of the blank and bad rows: every other row is a record
+    starts = array.array("q")  # the line each record's row starts on
     n_errors = len(report.row_errors)
 
     records: list[TeamGameRecord] = []
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in _csv_rows(lines):
         if not row or all(not c.strip() for c in row):
-            skipped.append(line_no)
+            continue
+        if leagues is not None and len(row) > league_idx and row[league_idx].strip() not in leagues:
             continue
         report.rows_read += 1
         start = len(values)
         try:
             record = TeamGameRecord(
                 game_id=row[col["gameid"]].strip(),
-                league=row[col["league"]].strip(),
+                league=row[league_idx].strip(),
                 season=int(row[col["season"]]),
                 team=row[col["team"]].strip(),
                 opponent=row[col["opponent"]].strip(),
@@ -257,18 +274,17 @@ def parse_match_csv(
         except (ValueError, IndexError) as exc:
             del values[start:]
             report.row_errors.append((line_no, str(exc)))
-            skipped.append(line_no)
             continue
         records.append(record)
+        starts.append(line_no)
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(records), len(spec.names))
     infinite = np.isinf(matrix)  # float() reads "inf" and "1e999": those rows are row errors too
     bad_rows = infinite.any(axis=1)
     if bad_rows.any():
-        lines = np.setdiff1d(np.arange(2, 2 + len(records) + len(skipped)), skipped)
         bad = np.flatnonzero(bad_rows)
         errors = [
-            (int(lines[i]), f"{spec.names[j]} must be finite, got {matrix[i, j]}")
-            for i, j in zip(bad, infinite[bad].argmax(axis=1))  # each row's first infinite column
+            (starts[i], f"{spec.names[j]} must be finite, got {matrix[i, j]}")
+            for i, j in zip(bad.tolist(), infinite[bad].argmax(axis=1))  # each row's first infinite column
         ]
         report.row_errors[n_errors:] = sorted(report.row_errors[n_errors:] + errors)
         records = [r for r, b in zip(records, bad_rows) if not b]
@@ -282,15 +298,45 @@ def parse_match_csv(
     return records
 
 
-def _csv_rows(data: bytes):
-    """CSV rows of ``data``, decoded one line at a time; lines end at ``\\n`` only."""
-    reader = csv.reader(line.decode("utf-8") for line in io.BytesIO(data))
+def _csv_rows(lines):
+    """``(line, cells)`` for each CSV row read from ``lines``, an iterator of
+    ``(line number, line)`` pairs of undecoded lines ending at ``\\n``; a row
+    is numbered by the line it starts on.  Reads no line past the row it
+    yields, so a second call can go on where the first stopped."""
+    first = at = 0
+
+    def text():
+        nonlocal first, at
+        for at, line in lines:
+            first = first or at
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MatchLogError(f"line {at}: {exc}") from None
+
+    reader = csv.reader(text())
     try:
-        yield from reader
+        for row in reader:
+            yield first, row
+            first = 0
     except csv.Error as exc:
-        raise MatchLogError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:  # raised before the reader counts the line
-        raise MatchLogError(f"line {reader.line_num + 1}: {exc}") from None
+        raise MatchLogError(f"line {at}: {exc}") from None
+
+
+def _league_lines(lines, league_idx: int, leagues: frozenset):
+    """``lines`` but those whose ``league_idx``-th comma-separated cell,
+    decoded and stripped, names a league outside ``leagues``; a line is
+    kept whole when it has no such cell or the cell is not UTF-8.  Exact
+    only where a line is one row, in a file without a ``"``."""
+    for n, line in lines:
+        cells = line.split(b",", league_idx + 1)
+        if len(cells) > league_idx:
+            try:
+                if cells[league_idx].decode("utf-8").strip() not in leagues:
+                    continue
+            except UnicodeDecodeError:
+                pass  # decoding the whole line raises, naming it
+        yield n, line
 
 
 def _parse_count(raw: str, column: str) -> int:

@@ -1,11 +1,14 @@
 """Test oracles: small, slow, obviously correct restatements of what the
 package computes, used to check its fast paths."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from leaguewin.graph import LeagueGraph
+from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec
 from leaguewin.synth import SynthConfig
 
 
@@ -47,3 +50,31 @@ def latent_skills(config: SynthConfig) -> np.ndarray:
     """The skill vector ``synth.generate_league`` draws first from its rng."""
     rng = np.random.default_rng(config.seed)
     return rng.normal(0.0, config.latent_skill_std, size=config.n_teams)
+
+
+def emit_csv(records, spec: FeatureSpec | None = None) -> bytes:
+    """``synth.emit_csv`` through ``csv.writer``, one list of cells a row."""
+    if spec is None:
+        spec = FeatureSpec.default()
+    feature_cols = [j for j, n in enumerate(spec.names) if n not in REQUIRED_COLUMNS]
+    header = list(REQUIRED_COLUMNS) + ["is_regular_season"] + [spec.names[j] for j in feature_cols]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for r in records:
+        row = [
+            r.game_id,
+            r.league,
+            str(r.season),
+            r.timestamp.isoformat(),
+            r.team,
+            r.opponent,
+            "1" if r.won else "0",
+            str(r.kills),
+            str(r.opponent_kills),
+            "1" if r.is_regular_season else "0",
+        ]
+        values = r.features.tolist()
+        row += ["" if math.isnan(v) else repr(v) for v in map(values.__getitem__, feature_cols)]
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")

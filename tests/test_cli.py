@@ -434,6 +434,68 @@ def test_build_graph_output_bytes_are_pinned(season_csv, tmp_path):
     }
 
 
+def test_simulate_and_ingest_csv_bytes_are_pinned(season_csv, tmp_path):
+    # The seeded 3-league season CSV and ingest's records.csv, byte for byte.
+    out = tmp_path / "ingest_out"
+    assert cli_main(["ingest", "--data", str(season_csv), "--out", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (season_csv, out / "records.csv")}
+    assert digests == {
+        "season.csv": "c91abecc1ab0cb468f355844a77045e8b907728b65a73cc8b9081b73c08c749b",
+        "records.csv": "c91abecc1ab0cb468f355844a77045e8b907728b65a73cc8b9081b73c08c749b",
+    }
+
+
+def test_another_leagues_bad_rows_stop_only_ingest(season_csv, plan_json, tmp_path, capsys):
+    # predict and build-graph read CCC alone: a bad row and an unpaired game
+    # in BBB leave their outputs as they are, while ingest reads every row.
+    train_out = tmp_path / "train_out"
+    assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]) == 0
+    scored = {
+        "predict": ["predict", "--model-file", str(train_out / "model.json"), "--league", "CCC", "--season", "2020"],
+        "build-graph": ["build-graph", "--league", "CCC", "--season", "2020"],
+    }
+
+    def run(argv, data, out):
+        code = cli_main([*argv, "--data", str(data), "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"} if code == 0 else None
+
+    clean = {name: run(argv, season_csv, tmp_path / "clean" / name) for name, argv in scored.items()}
+    lines = season_csv.read_text().splitlines()
+    kills = lines[0].split(",").index("kills")
+    bbb = sorted({line.split(",")[0] for line in lines[1:] if line.startswith("BBB-2020-")})
+    bad_game, unpaired_game = bbb[0], bbb[1]
+    bad_lines = [n for n, line in enumerate(lines, start=1) if line.startswith(f"{bad_game},")]
+    for n in bad_lines:
+        row = lines[n - 1].split(",")
+        row[kills] = "bad"
+        lines[n - 1] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli_main(["ingest", "--data", str(bad), "--out", str(tmp_path / "ingest_bad")]) == 0
+    report = json.loads((tmp_path / "ingest_bad" / "quality_report.json").read_text())
+    assert report["row_errors"] == [[n, "invalid literal for int() with base 10: 'bad'"] for n in bad_lines]
+
+    lines.remove(next(line for line in lines if line.startswith(f"{unpaired_game},")))
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["ingest", "--data", str(broken), "--out", str(tmp_path / "ingest_broken")]) == 1
+    assert f"error: 1 game id(s) without exactly two rows: {unpaired_game}" in capsys.readouterr().err
+    for name, argv in scored.items():
+        assert run(argv, broken, tmp_path / "broken" / name) == clean[name]
+
+    # A line of the league a command reads is still read in full, and named.
+    data = broken.read_bytes().split(b"\n")
+    n = next(n for n, line in enumerate(data, start=1) if line.startswith(b"CCC-2020-"))
+    data[n - 1] = data[n - 1].replace(b"-T0", b"-T\xff", 1)
+    unreadable = tmp_path / "unreadable.csv"
+    unreadable.write_bytes(b"\n".join(data))
+    for name, argv in scored.items():
+        capsys.readouterr()
+        assert run(argv, unreadable, tmp_path / "unreadable" / name) == (1, None)
+        assert f"error: line {n}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     train_out = tmp_path / "train_out"
     code = cli_main(

@@ -11,6 +11,7 @@ from leaguewin.ingest import (
     DEFAULT_FEATURES,
     ColumnStats,
     FeatureSpec,
+    MatchLogError,
     PairingError,
     QualityReport,
     SchemaError,
@@ -111,6 +112,118 @@ def test_bad_numeric_rows_reported_with_line_numbers(default_spec):
         assert len(records) == 2  # the broken game dropped entirely
         assert [line for line, _ in report.row_errors] == [4, 5]
         assert report.row_errors[0][1] == message
+
+
+def _with_cell(row, index, value):
+    cells = row.split(",")
+    cells[index] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [(7, "bad", "invalid literal for int() with base 10: 'bad'"), (9, "inf", "towers must be finite, got inf")],
+    ids=["bad-kills", "infinite-feature"],
+)
+def test_row_errors_name_the_line_a_row_starts_on(index, value, message, default_spec):
+    # Game "G\nX"'s two rows take lines 2 to 5, so game g3's rows sit on lines 8 and 9.
+    data = make_csv(
+        [
+            minimal_row('"G\nX"', "A", "B", 1, 10, 5),
+            minimal_row('"G\nX"', "B", "A", 0, 5, 10),
+            minimal_row("g2", "C", "D", 1, 9, 2),
+            minimal_row("g2", "D", "C", 0, 2, 9),
+            _with_cell(minimal_row("g3", "E", "F", 1, 8, 3), index, value),
+            _with_cell(minimal_row("g3", "F", "E", 0, 3, 8), index, value),
+        ]
+    )
+    assert data.split(b"\n")[8].startswith(b"g3,LPL,2020,2020-01-05T10:00:00+00:00,F,E,")
+    report = QualityReport()
+    records = parse_match_csv(data, default_spec, report)
+    assert sorted({r.game_id for r in records}) == ["G\nX", "g2"]
+    assert report.row_errors == [(8, message), (9, message)]
+
+
+def _three_league_csv(quoted: bool):
+    """A 3-league CSV, and the league of each line a damaged row starts on:
+    in every league both rows of game 0000 have kills -1 and both rows of
+    game 0001 an infinite feature.  With ``quoted`` a BBB team's name holds
+    a comma and a newline, so the file holds quotes and a row spans two lines."""
+    cfg = synth.SynthConfig(n_teams=4, games_per_pair=2, seed=12)
+    records = synth.generate_leagues(cfg, ["AAA", "BBB", "CCC"])
+    for r in records:
+        if quoted:
+            r.team, r.opponent = ({"BBB-T01": "BBB, T\n01"}.get(name, name) for name in (r.team, r.opponent))
+        if r.game_id.endswith("-0000"):
+            r.kills = -1
+        if r.game_id.endswith("-0001"):
+            r.features[-1] = np.inf
+    data = synth.emit_csv(records)
+    damaged = {
+        n: line[:3].decode()
+        for n, line in enumerate(data.split(b"\n"), start=1)
+        if line[3:14] in (b"-2020-0000,", b"-2020-0001,")
+    }
+    assert (b'"' in data) == quoted and len(damaged) == 12
+    return data, damaged
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("leagues", [["CCC"], ["BBB"], ["AAA", "CCC"], ["AAA", "BBB", "CCC"], ["ZZZ"], []])
+def test_league_scoped_parse_matches_filtering_the_full_parse(quoted, leagues, default_spec):
+    data, damaged = _three_league_csv(quoted)
+    full_report, report = QualityReport(), QualityReport()
+    full = parse_match_csv(data, default_spec, full_report)
+    scoped = parse_match_csv(data, default_spec, report, leagues=leagues)
+    assert_same_records(scoped, [r for r in full if r.league in leagues])
+    assert sorted(damaged) == [line for line, _ in full_report.row_errors]
+    assert report.row_errors == [(line, msg) for line, msg in full_report.row_errors if damaged[line] in leagues]
+    assert report.rows_read == len(scoped) + len(report.row_errors)
+    assert report.records_parsed == len(scoped)
+
+
+def test_another_leagues_unpaired_game_is_not_an_error(default_spec):
+    data = make_csv(
+        [
+            minimal_row("g1", "A", "B", 1, 10, 5),
+            minimal_row("g1", "B", "A", 0, 5, 10),
+            minimal_row("g2", "C", "D", 1, 9, 2, league="LCK"),
+        ]
+    )
+    with pytest.raises(PairingError, match="g2"):
+        parse_match_csv(data, default_spec)
+    assert [r.game_id for r in parse_match_csv(data, default_spec, leagues={"LPL"})] == ["g1", "g1"]
+    with pytest.raises(PairingError, match="g2"):
+        parse_match_csv(data, default_spec, leagues={"LCK"})
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda line: line.replace(b",", b",\r", 3), "line 3: new-line character seen in unquoted field"),
+        (lambda line: line.replace(b"C,D", b"C\xff,D"), "line 3: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["lone-cr", "bad-utf8"],
+)
+def test_another_leagues_unreadable_line_fails_only_a_file_with_quotes(damage, message, default_spec):
+    # Without a quote in the file each line is a row, and another league's
+    # line is skipped unread; with one, every line is decoded and tokenized.
+    rows = [
+        minimal_row("g1", "A", "B", 1, 10, 5),
+        minimal_row("g2", "C", "D", 1, 9, 2, league="LCK"),
+        minimal_row("g2", "D", "C", 0, 2, 9, league="LCK"),
+        minimal_row("g1", "B", "A", 0, 5, 10),
+    ]
+    for quote in (b"", b'"'):
+        lines = make_csv(rows).split(b"\n")
+        lines[2] = damage(lines[2])
+        lines[1] = lines[1].replace(b"g1", quote + b"g1" + quote)
+        data = b"\n".join(lines)
+        for leagues in [None, {"LCK"}, {"LPL"}] if quote else [None, {"LCK"}]:
+            with pytest.raises(MatchLogError, match=f"^{message}"):
+                parse_match_csv(data, default_spec, leagues=leagues)
+        if not quote:
+            assert [r.game_id for r in parse_match_csv(data, default_spec, leagues={"LPL"})] == ["g1", "g1"]
 
 
 def test_round_trip_through_emitter(default_spec):

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import assert_same_records, cross_league
 from oracles import latent_skills, win_probability
 from leaguewin import synth
-from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec, parse_match_csv
+from leaguewin.ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, MatchLogError, parse_match_csv
 from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues
 
 
@@ -59,6 +62,80 @@ def test_round_trip_thousand_records():
     records = generate_league(cfg)
     assert len(records) >= 1000
     assert_same_records(parse_match_csv(emit_csv(records)), records)
+
+
+def _blank_cells(records):
+    records[0].features[[0, 5]] = np.nan
+    records[3].features[:16] = np.nan  # every feature cell before kills, which comes from its own column
+    return records
+
+
+def _extreme_values(records):
+    records[1].features[:5] = [-0.0, 1e16, 1e-05, 5e-324, 1.7976931348623157e308]
+    records[2].features[-5:] = [-1e16, -1e-05, -5e-324, -1.7976931348623157e308, 0.1]
+    return records
+
+
+def _quoted_names(records):
+    # One game's ids and team names hold a comma, a quote, a newline and non-ASCII text.
+    names = {"AAA-2020-0000": "AAA,2020\n0", "AAA": 'A"A"A', "AAA-T00": "Équipe, 東京", "AAA-T01": 'T "01"'}
+    for r in records:
+        if r.game_id == "AAA-2020-0000":
+            for field in ("game_id", "league", "team", "opponent"):
+                setattr(r, field, names.get(getattr(r, field), getattr(r, field)))
+    return records
+
+
+def _named(names):
+    spec = FeatureSpec(names, {n: DEFAULT_FEATURES[n] for n in names})
+    cols = [list(DEFAULT_FEATURES).index(n) for n in names]
+    return (lambda records: [replace(r, features=r.features[cols]) for r in records]), spec
+
+
+@pytest.mark.parametrize(
+    "edit, spec",
+    [
+        (_blank_cells, None),
+        (_extreme_values, None),
+        (_quoted_names, None),
+        (lambda records: records, None),  # the default spec names kills
+        _named(["kills", "towers", "total_gold"]),
+        _named(["towers", "kills"]),  # one feature column left
+        _named(["kills"]),  # none left
+    ],
+    ids=["nan", "extreme-values", "quoted-names", "default-spec", "kills-first", "one-column", "no-column"],
+)
+def test_emit_csv_writes_the_bytes_csv_writer_does(edit, spec):
+    records = edit(generate_leagues(SynthConfig(n_teams=3, games_per_pair=2, seed=6), ["AAA", "BBB"]))
+    data = emit_csv(records, spec)
+    assert data == oracles.emit_csv(records, spec)
+    assert_same_records(parse_match_csv(data, spec), sorted(records, key=synth.record_sort_key))
+
+
+def test_emit_csv_leaves_a_carriage_return_unquoted_as_csv_writer_does():
+    # csv.writer quotes a name holding "\n" but not one holding "\r", which
+    # the parser then rejects; the bytes are kept as csv.writer writes them.
+    records = generate_league(SynthConfig(n_teams=2, games_per_pair=1, seed=6))
+    records[0].team = records[1].opponent = "SYN\rT00"
+    data = emit_csv(records)
+    assert data == oracles.emit_csv(records)
+    assert b",SYN\rT00," in data
+    with pytest.raises(MatchLogError, match="line 2: new-line character seen in unquoted field"):
+        parse_match_csv(data)
+
+
+def test_emit_csv_memory_per_row():
+    # Lines are formatted record by record, never from one list of every cell.
+    cfg = SynthConfig(n_teams=8, games_per_pair=4, seed=4)
+    records = parse_match_csv(emit_csv(generate_leagues(cfg, ["A", "B", "C"])))
+    tracemalloc.start()
+    try:
+        emit_csv(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) >= 600
+    assert peak / len(records) <= 1600
 
 
 def test_empty_records_emit_header_only():
