@@ -25,7 +25,7 @@ import scipy
 from . import __version__, experiment, gcn, synth
 from . import graph as lg
 from .baselines import scope as sc
-from .ingest import ColumnStats, FeatureSpec, MatchLogError, QualityReport, build_feature_matrix, parse_match_csv
+from .ingest import ColumnStats, FeatureSpec, MatchLogError, QualityReport, build_feature_matrix, emit_csv, parse_match_csv
 
 BUNDLE_SCHEMA_VERSION = 1
 
@@ -304,7 +304,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
     # simulate alone may name the CSV file itself; the manifest goes beside it.
     csv_path = out if out.suffix == ".csv" else out / "season.csv"
     summary = f"wrote {len(records)} records ({len(records) // 2} games) to {csv_path}"
-    return {csv_path: synth.emit_csv(records)}, summary
+    return {csv_path: emit_csv(records)}, summary
 
 
 def _cmd_ingest(args) -> tuple[dict, str]:
@@ -313,7 +313,7 @@ def _cmd_ingest(args) -> tuple[dict, str]:
     records = _records(args, spec, report)
     build_feature_matrix(records, spec, "raw", report)  # fills report.imputed and report.warnings
     out = Path(args.out)
-    outputs = {out / "quality_report.json": report.to_json(), out / "records.csv": synth.emit_csv(records, spec)}
+    outputs = {out / "quality_report.json": report.to_json(), out / "records.csv": emit_csv(records, spec)}
     return outputs, f"parsed {len(records)} records; {len(report.row_errors)} row errors"
 
 

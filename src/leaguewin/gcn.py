@@ -38,11 +38,10 @@ series on a 2-core box, capped against uncapped, alternated (medians):
 0.70 s and 1.09 s.  The benchmark's outputs stayed byte-identical, but not
 every shape keeps its bits: two 64-wide stages on 440 nodes differ from the
 threaded run by about 1e-15 relative.  Capped, the weights no longer depend
-on the core count.  The count is process-wide, so while ``train`` runs, BLAS
-work that a caller runs in another thread shares the cap.  The cap applies
-per process: ``experiment.run_cross_league`` trains its cells in one forked
-worker per core, each of which caps its own ``train``, so busy threads never
-outnumber cores.  With another BLAS (or numpy 1.x) the cap does nothing.
+on the core count.  The cap applies per process:
+``experiment.run_cross_league`` trains its cells in one forked worker per
+core, each of which caps its own ``train``, so busy threads never outnumber
+cores.  With another BLAS (or numpy 1.x) the cap does nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
@@ -374,39 +372,19 @@ def _openblas_threads():
     return get, set_
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Context manager and decorator: numpy's OpenBLAS runs on one thread
-    inside it.
-
-    The count is process-wide, so overlapping uses (say, training in two
-    threads) share one cap: the first to enter saves the count and the last
-    to leave restores it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 1
-
-    def __enter__(self):
-        blas = _openblas_threads()
-        if blas is not None:
-            with self._lock:
-                if self._depth == 0:
-                    self._saved = blas[0]()
-                    blas[1](1)
-                self._depth += 1
-
-    def __exit__(self, *exc_info):
-        blas = _openblas_threads()
-        if blas is not None:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    blas[1](self._saved)
-
-
-_one_blas_thread = _OneBlasThread()
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS runs on one thread inside it; the count it had is restored on the way out."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    saved = blas[0]()
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](saved)
 
 
 def build_propagator(g: lg.LeagueGraph, kind: str, degree: int) -> lg.Propagator:
@@ -426,7 +404,7 @@ def check_label_offset(config: TrainConfig, g: lg.LeagueGraph, name: str) -> Non
         raise ValueError(f"{name} graph is labelled for {g.convolutions} convolution(s), but the model has {convs}")
 
 
-@_one_blas_thread  # see the module docstring
+@_one_blas_thread()  # see the module docstring
 def train(
     config: TrainConfig,
     train_graph: lg.LeagueGraph,

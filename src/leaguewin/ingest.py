@@ -1,4 +1,5 @@
-"""Season match-log ingestion: CSV parsing, pairing validation, feature matrices.
+"""Season match-log ingestion: the match-log CSV's reader and writer, pairing
+validation, feature matrices.
 
 A league's rows have one order and one pairing rule, kept by ``paired_rows``:
 records in ``record_sort_key`` order, with rows 2k and 2k+1 the two sides of
@@ -12,7 +13,9 @@ import array
 import csv
 import io
 import json
+import math
 import operator
+import re
 import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -32,6 +35,8 @@ REQUIRED_COLUMNS = (
     "kills",
     "opponent_kills",
 )
+# The columns read into and written from record fields, not features.
+RECORD_COLUMNS = (*REQUIRED_COLUMNS, "is_regular_season")
 
 CATEGORIES = ("objectives", "farm", "gold_experience", "fighting", "vision")
 
@@ -226,6 +231,9 @@ def parse_match_csv(
     if header is None:
         raise SchemaError("empty input: no header row")
     col = {name: i for i, name in enumerate(header)}
+    if len(col) < len(header):
+        twice = sorted({name for name in header if header.count(name) > 1})
+        raise SchemaError(f"header columns appear more than once: {twice}")
     missing = [c for c in REQUIRED_COLUMNS if c not in col]
     missing += [c for c in spec.names if c not in col]
     if missing:
@@ -382,6 +390,56 @@ def _validate_pairs(records: list[TeamGameRecord]) -> None:
             f"{len(bad)} game id(s) with inconsistent paired rows: " + ", ".join(bad[:10]),
             bad,
         )
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, with each ``"`` doubled, when it
+    holds a ``,``, a ``"``, a carriage return or a newline."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> bytes:
+    """Inverse of ``parse_match_csv``: an exact round-trip CSV.
+
+    Each of ``RECORD_COLUMNS`` is written once, from the record's fields,
+    so a feature of the same name (``kills``) is not written again.  Floats
+    use repr so values survive the trip unchanged, and NaN cells are left
+    blank.  Features are read in ``spec``'s order, the order parsing with
+    ``spec`` (or generating, for the default spec) leaves.  Header and name
+    cells are quoted by ``_cell``; lines are joined record by record.
+    """
+    if spec is None:
+        spec = FeatureSpec.default()
+    feature_cols = [j for j, n in enumerate(spec.names) if n not in RECORD_COLUMNS]
+    # itemgetter returns a bare cell, not a tuple, for a single index.
+    take = operator.itemgetter(*feature_cols) if len(feature_cols) > 1 else lambda v: [v[j] for j in feature_cols]
+    buf = io.StringIO()
+    buf.write(",".join(map(_cell, [*RECORD_COLUMNS, *(spec.names[j] for j in feature_cols)])) + "\n")
+    for r in records:
+        values = take(r.features.tolist())
+        if any(map(math.isnan, values)):
+            cells = ["" if math.isnan(v) else repr(v) for v in values]
+        else:
+            cells = map(repr, values)
+        row = [
+            _cell(r.game_id),
+            _cell(r.league),
+            str(r.season),
+            r.timestamp.isoformat(),
+            _cell(r.team),
+            _cell(r.opponent),
+            "1" if r.won else "0",
+            str(r.kills),
+            str(r.opponent_kills),
+            "1" if r.is_regular_season else "0",
+            *cells,
+        ]
+        buf.write(",".join(row))
+        buf.write("\n")
+    return buf.getvalue().encode("utf-8")
 
 
 def filter_regular_season(

@@ -6,23 +6,19 @@ fully seeded: identical configs produce byte-identical CSVs.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import operator
-import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
 import numpy as np
 
-from .ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, TeamGameRecord, record_sort_key
+from .ingest import DEFAULT_FEATURES, TeamGameRecord, record_sort_key
+# Unused here; perfbench/spans.py looks the CSV writer up under this name.
+from .ingest import emit_csv  # noqa: F401
 
 
 _COLUMN = {n: j for j, n in enumerate(DEFAULT_FEATURES)}
-# A superset of the characters csv.writer's QUOTE_MINIMAL quotes a cell for.
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
 
 def default_signal_map() -> dict[str, float]:
@@ -161,50 +157,3 @@ def generate_leagues(config: SynthConfig, leagues: list[str]) -> list[TeamGameRe
         sub = replace(config, league=league, seed=int(child.generate_state(1)[0]))
         records.extend(generate_league(sub))
     return records
-
-
-def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> bytes:
-    """Inverse of ingest.parse_match_csv: an exact round-trip CSV.
-
-    Feature names that collide with identifier columns (``kills``) are
-    written once, from the identifier; floats use repr so values survive
-    the trip unchanged, and NaN cells are left blank.  Features are read in
-    ``spec``'s order, the order parsing with ``spec`` (or generating, for
-    the default spec) leaves.  Lines are joined record by record; the
-    header and any row whose names need quoting go through ``csv.writer``,
-    so the bytes are those it writes for every row.
-    """
-    if spec is None:
-        spec = FeatureSpec.default()
-    feature_cols = [j for j, n in enumerate(spec.names) if n not in REQUIRED_COLUMNS]
-    header = list(REQUIRED_COLUMNS) + ["is_regular_season"] + [spec.names[j] for j in feature_cols]
-    # itemgetter returns a bare cell, not a tuple, for a single index.
-    take = operator.itemgetter(*feature_cols) if len(feature_cols) > 1 else lambda v: [v[j] for j in feature_cols]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for r in records:
-        values = take(r.features.tolist())
-        if any(map(math.isnan, values)):
-            cells = ["" if math.isnan(v) else repr(v) for v in values]
-        else:
-            cells = map(repr, values)
-        row = [
-            r.game_id,
-            r.league,
-            str(r.season),
-            r.timestamp.isoformat(),
-            r.team,
-            r.opponent,
-            "1" if r.won else "0",
-            str(r.kills),
-            str(r.opponent_kills),
-            "1" if r.is_regular_season else "0",
-            *cells,
-        ]
-        if _NEEDS_QUOTES(r.game_id + r.league + r.team + r.opponent):
-            writer.writerow(row)
-        else:
-            buf.write(",".join(row))
-            buf.write("\n")
-    return buf.getvalue().encode("utf-8")

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from leaguewin.graph import LeagueGraph
-from leaguewin.ingest import REQUIRED_COLUMNS, FeatureSpec
+from leaguewin.ingest import RECORD_COLUMNS, FeatureSpec
 from leaguewin.synth import SynthConfig
 
 
@@ -53,11 +53,11 @@ def latent_skills(config: SynthConfig) -> np.ndarray:
 
 
 def emit_csv(records, spec: FeatureSpec | None = None) -> bytes:
-    """``synth.emit_csv`` through ``csv.writer``, one list of cells a row."""
+    """``ingest.emit_csv`` through ``csv.writer``, one list of cells a row."""
     if spec is None:
         spec = FeatureSpec.default()
-    feature_cols = [j for j, n in enumerate(spec.names) if n not in REQUIRED_COLUMNS]
-    header = list(REQUIRED_COLUMNS) + ["is_regular_season"] + [spec.names[j] for j in feature_cols]
+    feature_cols = [j for j, n in enumerate(spec.names) if n not in RECORD_COLUMNS]
+    header = list(RECORD_COLUMNS) + [spec.names[j] for j in feature_cols]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -32,6 +32,18 @@ def season_csv(tmp_path):
     return out
 
 
+def assert_pinned(out, digests):
+    """Each named file under ``out`` has its pinned sha256.  Trained weights
+    depend on the BLAS kernel, so the pins hold for the numpy and BLAS they
+    were taken with."""
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    env = cli._environment()
+    assert got == digests, (
+        "pinned with numpy 2.4.6 and scipy-openblas 0.3.31.188.0; this run has "
+        f"numpy {env['numpy']} and {env['blas']['name']} {env['blas']['version']}"
+    )
+
+
 @pytest.fixture
 def plan_json(tmp_path):
     path = tmp_path / "plan.json"
@@ -427,22 +439,19 @@ def test_build_graph_output_bytes_are_pinned(season_csv, tmp_path):
          "--mode", "delta", "--layers", "2", "--out", str(out)]
     )
     assert code == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("graph.json", "edges.txt")}
-    assert digests == {
+    assert_pinned(out, {
         "graph.json": "5d48147c52920bb4f0c5d9200a607ac22a3de4baa08b4bd64bc9b0aeeebdfaa4",
         "edges.txt": "003501aff3029e80983e2c1ce6af5143a90c6a7401baa302fa7df31292436831",
-    }
+    })
 
 
 def test_simulate_and_ingest_csv_bytes_are_pinned(season_csv, tmp_path):
     # The seeded 3-league season CSV and ingest's records.csv, byte for byte.
     out = tmp_path / "ingest_out"
     assert cli_main(["ingest", "--data", str(season_csv), "--out", str(out)]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (season_csv, out / "records.csv")}
-    assert digests == {
-        "season.csv": "c91abecc1ab0cb468f355844a77045e8b907728b65a73cc8b9081b73c08c749b",
-        "records.csv": "c91abecc1ab0cb468f355844a77045e8b907728b65a73cc8b9081b73c08c749b",
-    }
+    digest = "c91abecc1ab0cb468f355844a77045e8b907728b65a73cc8b9081b73c08c749b"
+    assert_pinned(season_csv.parent, {"season.csv": digest})
+    assert_pinned(out, {"records.csv": digest})
 
 
 def test_another_leagues_bad_rows_stop_only_ingest(season_csv, plan_json, tmp_path, capsys):
@@ -509,6 +518,10 @@ def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     report_lines = (train_out / "train_report.csv").read_text().splitlines()
     assert report_lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
     assert len(report_lines) > 1
+    assert_pinned(train_out, {
+        "model.json": "bb766f6c421171413b24d8006e280f2464eee0c1cac7a89e04b6b91f18aad748",
+        "train_report.csv": "861e02bd0a62a9bf965875bbaa3f0102b038a7302b0b822d75e527a99442aa3d",
+    })
 
     pred_out = tmp_path / "pred_out"
     code = cli_main(
@@ -521,6 +534,7 @@ def test_train_predict_round_trip(season_csv, plan_json, tmp_path):
     assert len(lines) == 61
     probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert all(0.0 <= p <= 1.0 for p in probs)
+    assert_pinned(pred_out, {"predictions.csv": "ca71111ca6f967992bbea07fec50ecb5061b7873656bcd64920e2f29a656d858"})
 
 
 def test_predictions_csv_quotes_a_team_name_with_a_comma_and_a_quote(season_csv, plan_json, tmp_path):
@@ -612,6 +626,10 @@ def test_baseline_scope_cli(season_csv, tmp_path):
     assert len(table) == 9
     best = json.loads((out / "scope_best.json").read_text())
     assert 0.0 <= best["test_accuracy"] <= 1.0
+    assert_pinned(out, {
+        "scope_grid.csv": "e68a1256559c43a96a1279595e033f3f6391b2596f5b3f0048af512d3d9470ad",
+        "scope_best.json": "2c77c6b77bd1f978700e9886210c45c387249d01bf8ef71fd1721363bedfd40b",
+    })
 
 
 def test_baseline_scope_cli_reruns_are_byte_identical(season_csv, tmp_path):
@@ -635,6 +653,10 @@ def test_baseline_forest_cli(season_csv, plan_json, tmp_path):
     assert code == 0
     doc = json.loads((out / "forest_report.json").read_text())
     assert doc[0]["model"] == "random forest (lookback=3)"
+    assert_pinned(out, {
+        "forest_report.json": "8c59d19f43e8d833a0ad0d18adc3beef10aa3936ca3b7df8242ead1bdc8b70f0",
+        "forest_report.csv": "dbe3f6ad5a76a60e29426e42702e1ffa57e2e6b10f265d9375c29921e7ca9d90",
+    })
 
 
 
@@ -838,6 +860,10 @@ def test_grid_search_cli(season_csv, plan_json, tmp_path):
     assert code == 0
     rows = json.loads((out / "grid_report.json").read_text())
     assert len(rows) == 1 and rows[0]["note"] == "winner"
+    assert_pinned(out, {
+        "grid_report.json": "cb95abb327e3db1c3491df558c98887343a34113ba415a8f33de7ce4fb8b3769",
+        "grid_report.csv": "6396bf43ff4437645851cf74d397ffe8a861a4e7af4bdaa00a4742a9d5c4e10b",
+    })
 
 
 def test_compare_cli_smoke_and_determinism(season_csv, plan_json, tmp_path):
@@ -853,6 +879,10 @@ def test_compare_cli_smoke_and_determinism(season_csv, plan_json, tmp_path):
     assert len(report) == 6
     assert (outs[0] / "compare_report.csv").read_bytes() == (outs[1] / "compare_report.csv").read_bytes()
     assert (outs[0] / "compare_report.json").read_bytes() == (outs[1] / "compare_report.json").read_bytes()
+    assert_pinned(outs[0], {
+        "compare_report.csv": "b7da5a8f6263d3ca4c826f7c7072d17984084df16df38db363707ad43b16f969",
+        "compare_report.json": "7a2796d3d878dd935dba3ae965cb316a84d6b01a9f568f2f46655a0c2d95001f",
+    })
 
 
 @pytest.mark.parametrize(

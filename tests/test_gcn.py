@@ -423,8 +423,8 @@ def test_train_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
             with pytest.raises(TrainingDiverged):
                 _train_recording_blas_threads(monkeypatch, g, g_val, diverging)
         assert _blas_threads() == before
-        with gcn._one_blas_thread:  # overlapping uses: the last to leave restores
-            with gcn._one_blas_thread:
+        with gcn._one_blas_thread():  # nested uses: each restores the count it found
+            with gcn._one_blas_thread():
                 assert _blas_threads() == 1
             assert _blas_threads() == 1
         assert _blas_threads() == before

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from leaguewin.ingest import (
     PairingError,
     QualityReport,
     SchemaError,
+    TeamGameRecord,
     build_feature_matrix,
+    emit_csv,
     filter_regular_season,
     parse_match_csv,
+    record_sort_key,
     standardize,
 )
 
@@ -84,6 +88,14 @@ def test_missing_column_named(default_spec):
     with pytest.raises(SchemaError) as err:
         parse_match_csv(data, default_spec)
     assert "opponent_kills" in str(err.value)
+
+
+def test_header_column_named_twice_raises(default_spec):
+    # Taking either copy would read a value from the wrong column.
+    header = make_csv([]).decode().rstrip("\n")
+    data = make_csv([minimal_row("g1", "A", "B", 1, 10, 5)], header=header + ",towers,result")
+    with pytest.raises(SchemaError, match=r"header columns appear more than once: \['result', 'towers'\]"):
+        parse_match_csv(data, default_spec)
 
 
 def test_bad_numeric_rows_reported_with_line_numbers(default_spec):
@@ -158,7 +170,7 @@ def _three_league_csv(quoted: bool):
             r.kills = -1
         if r.game_id.endswith("-0001"):
             r.features[-1] = np.inf
-    data = synth.emit_csv(records)
+    data = emit_csv(records)
     damaged = {
         n: line[:3].decode()
         for n, line in enumerate(data.split(b"\n"), start=1)
@@ -230,12 +242,69 @@ def test_round_trip_through_emitter(default_spec):
     cfg = synth.SynthConfig(n_teams=5, games_per_pair=1, seed=1)
     records = synth.generate_league(cfg)
     assert len(records) == 20  # C(5,2) = 10 games
-    again = parse_match_csv(synth.emit_csv(records), default_spec)
+    again = parse_match_csv(emit_csv(records), default_spec)
     assert_same_records(again, records)
 
 
+def test_emit_csv_writes_a_record_column_the_spec_names_once():
+    # The flag column is written from the record's field alone; the parser
+    # reads the feature of that name from it, as it reads kills.
+    spec = FeatureSpec(["towers", "is_regular_season"], {"towers": "objectives", "is_regular_season": "objectives"})
+    records = synth.generate_league(synth.SynthConfig(n_teams=3, seed=2))
+    for r in records:
+        r.is_regular_season = r.game_id.endswith("0")
+        r.features = np.array([r.features[0], float(r.is_regular_season)])
+    data = emit_csv(records, spec)
+    header = data.split(b"\n", 1)[0].split(b",")
+    assert header.count(b"is_regular_season") == 1 and header[-1] == b"towers"
+    assert_same_records(parse_match_csv(data, spec), records)
+
+
+_ODD_TEXT = [",", '"', "\n", "\r", "\r\n", '""', "É", "東京", "\U0001f3c6", " ", "x"]
+_ODD_FLOATS = [np.nan, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16, 0.1]
+
+
+def _odd_name(rng, prefix):
+    # Cells are stripped on parsing, so a name begins and ends with a letter.
+    return prefix + "".join(rng.choice(_ODD_TEXT, size=int(rng.integers(0, 6)))) + "z"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_emit_csv_round_trips_generated_records(seed):
+    rng = np.random.default_rng(seed)
+    names = [_odd_name(rng, f"f{k}") for k in range(3)] + ["kills", "towers"]
+    spec = FeatureSpec(names, dict.fromkeys(names, "fighting"))
+    teams = [_odd_name(rng, f"t{k}") for k in range(4)] + ["plain"]
+    leagues = [_odd_name(rng, f"l{k}") for k in range(2)]
+    records = []
+    for g in range(40):
+        a, b = rng.choice(len(teams), size=2, replace=False)
+        kills = rng.integers(0, 30, size=2).tolist()
+        shared = dict(
+            game_id=_odd_name(rng, f"g{g}"),
+            league=leagues[g % 2],
+            season=2019 + g % 3,
+            timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc) + timedelta(hours=g, microseconds=g),
+            is_regular_season=bool(rng.integers(2)),
+        )
+        won = bool(rng.integers(2))
+        for side, (team, opp) in enumerate(((a, b), (b, a))):
+            odd = rng.random(len(names)) < 0.6
+            features = np.where(odd, rng.choice(_ODD_FLOATS, size=len(names)), rng.normal(size=len(names)))
+            features[names.index("kills")] = kills[side]
+            records.append(TeamGameRecord(
+                team=teams[team], opponent=teams[opp], won=won != bool(side),
+                kills=kills[side], opponent_kills=kills[1 - side], features=features, **shared,
+            ))
+    records.sort(key=record_sort_key)
+    data = emit_csv(records, spec)
+    again = parse_match_csv(data, spec)
+    assert_same_records(again, records)
+    assert emit_csv(again, spec) == data
+
+
 def test_parse_order_is_stable(default_spec):
-    data = synth.emit_csv(synth.generate_league(synth.SynthConfig(n_teams=4, seed=3)))
+    data = emit_csv(synth.generate_league(synth.SynthConfig(n_teams=4, seed=3)))
     first = parse_match_csv(data, default_spec)
     second = parse_match_csv(data, default_spec)
     assert_same_records(first, second)
@@ -245,7 +314,7 @@ def test_parse_memory_per_row(default_spec):
     # Features live in one float64 matrix, not in a dict of floats per row,
     # and the input is decoded a line at a time, never as one text copy.
     cfg = synth.SynthConfig(n_teams=8, games_per_pair=4, seed=4)
-    data = synth.emit_csv(synth.generate_leagues(cfg, ["A", "B", "C"]))
+    data = emit_csv(synth.generate_leagues(cfg, ["A", "B", "C"]))
     tracemalloc.start()
     try:
         records = parse_match_csv(data, default_spec)
@@ -266,7 +335,7 @@ def test_generated_records_build_the_matrix_their_csv_does(signal, default_spec)
     # The subset keeps "kills", whose feature column a CSV fills from the kills column.
     cfg = synth.SynthConfig(n_teams=4, games_per_pair=2, seed=9, shared_noise_std=0.5, feature_signal_map=signal)
     records = synth.generate_leagues(cfg, ["LPL", "LCS", "LEC"])
-    parsed = parse_match_csv(synth.emit_csv(records), default_spec)
+    parsed = parse_match_csv(emit_csv(records), default_spec)
     for mode in ("raw", "delta"):
         made = build_feature_matrix(records, default_spec, mode)
         read = build_feature_matrix(parsed, default_spec, mode)

@@ -9,8 +9,8 @@ import oracles
 from conftest import assert_same_records, cross_league
 from oracles import latent_skills, win_probability
 from leaguewin import synth
-from leaguewin.ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, MatchLogError, parse_match_csv
-from leaguewin.synth import SynthConfig, emit_csv, generate_league, generate_leagues
+from leaguewin.ingest import DEFAULT_FEATURES, REQUIRED_COLUMNS, FeatureSpec, emit_csv, parse_match_csv
+from leaguewin.synth import SynthConfig, generate_league, generate_leagues
 
 
 def test_game_and_record_counts():
@@ -112,16 +112,15 @@ def test_emit_csv_writes_the_bytes_csv_writer_does(edit, spec):
     assert_same_records(parse_match_csv(data, spec), sorted(records, key=synth.record_sort_key))
 
 
-def test_emit_csv_leaves_a_carriage_return_unquoted_as_csv_writer_does():
-    # csv.writer quotes a name holding "\n" but not one holding "\r", which
-    # the parser then rejects; the bytes are kept as csv.writer writes them.
+def test_emit_csv_quotes_a_carriage_return_so_the_file_parses():
+    # csv.writer leaves a name holding "\r" unquoted, and the parser rejects
+    # such a line; emit_csv quotes it like a name holding "\n".
     records = generate_league(SynthConfig(n_teams=2, games_per_pair=1, seed=6))
     records[0].team = records[1].opponent = "SYN\rT00"
     data = emit_csv(records)
-    assert data == oracles.emit_csv(records)
-    assert b",SYN\rT00," in data
-    with pytest.raises(MatchLogError, match="line 2: new-line character seen in unquoted field"):
-        parse_match_csv(data)
+    assert data == oracles.emit_csv(records).replace(b",SYN\rT00,", b',"SYN\rT00",')
+    assert data.count(b',"SYN\rT00",') == 2
+    assert_same_records(parse_match_csv(data), records)
 
 
 def test_emit_csv_memory_per_row():
