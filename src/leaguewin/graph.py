@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingest import FeatureMatrix, TeamGameRecord, paired_rows
+
+# scipy.sparse is imported where matrices are built, so commands that build
+# no graph (simulate, ingest) do not load it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -93,6 +98,8 @@ def build_league_graph(
 
 
 def adjacency_from_edges(n: int, edges: set[tuple[int, int]]) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     if not edges:
         return sp.csr_matrix((n, n))
     rows, cols = [], []
@@ -105,6 +112,8 @@ def adjacency_from_edges(n: int, edges: set[tuple[int, int]]) -> sp.csr_matrix:
 
 def sym_normalized(adj: sp.spmatrix, add_self_loops: bool = True) -> sp.csr_matrix:
     """D^(-1/2) A D^(-1/2), with A+I and its degrees when add_self_loops."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(adj, dtype=np.float64)
     if add_self_loops:
         a = (a + sp.eye(a.shape[0], format="csr")).tocsr()
@@ -122,6 +131,8 @@ def normalized_adjacency(graph: LeagueGraph) -> Propagator:
 
 
 def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     # I - D^(-1/2) A D^(-1/2), without self loops; zero-degree rows give I.
     n = adj.shape[0]
     return (sp.eye(n, format="csr") - sym_normalized(adj, add_self_loops=False)).tocsr()
@@ -158,6 +169,8 @@ def chebyshev_basis(graph: LeagueGraph, degree: int) -> Propagator:
     lambda_max is estimated by power iteration, falling back to the
     theoretical bound 2.0 when the estimate does not converge.
     """
+    import scipy.sparse as sp
+
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n = graph.n_nodes

@@ -90,7 +90,7 @@ class PairingError(MatchLogError):
         self.game_ids = game_ids
 
 
-@dataclass
+@dataclass(slots=True)
 class TeamGameRecord:
     """One team's side of one game."""
 
@@ -251,6 +251,21 @@ def parse_match_csv(
     starts = array.array("q")  # the line each record's row starts on
     n_errors = len(report.row_errors)
 
+    # One object per distinct name and date cell, shared by every row that
+    # holds it; names and datetimes are immutable, so sharing is unseen.
+    names: dict[str, str] = {}
+    dates: dict[str, datetime] = {}
+
+    def name(cell: str) -> str:
+        cell = cell.strip()
+        return names.setdefault(cell, cell)
+
+    def timestamp(cell: str) -> datetime:
+        ts = dates.get(cell)
+        if ts is None:
+            ts = dates[cell] = _parse_timestamp(cell)
+        return ts
+
     records: list[TeamGameRecord] = []
     for line_no, row in _csv_rows(lines):
         if not row or all(not c.strip() for c in row):
@@ -261,12 +276,12 @@ def parse_match_csv(
         start = len(values)
         try:
             record = TeamGameRecord(
-                game_id=row[col["gameid"]].strip(),
-                league=row[league_idx].strip(),
+                game_id=name(row[col["gameid"]]),
+                league=name(row[league_idx]),
                 season=int(row[col["season"]]),
-                team=row[col["team"]].strip(),
-                opponent=row[col["opponent"]].strip(),
-                timestamp=_parse_timestamp(row[col["date"]]),
+                team=name(row[col["team"]]),
+                opponent=name(row[col["opponent"]]),
+                timestamp=timestamp(row[col["date"]]),
                 won=_parse_bool(row[col["result"]], "result"),
                 kills=_parse_count(row[col["kills"]], "kills"),
                 opponent_kills=_parse_count(row[col["opponent_kills"]], "opponent_kills"),
@@ -401,6 +416,17 @@ def _cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
+def _name_cell(text: str, column: str, game_id: str) -> str:
+    """``_cell(text)`` for a name the reader strips; one that begins or ends
+    with whitespace would not read back as written, so it raises."""
+    if text != text.strip():
+        raise ValueError(f"game {game_id!r}: {column} {text!r} begins or ends with whitespace, which reading strips")
+    return _cell(text)
+
+
+_CHUNK_LINES = 256  # lines encoded at a time, so no text copy of the whole file is held
+
+
 def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> bytes:
     """Inverse of ``parse_match_csv``: an exact round-trip CSV.
 
@@ -409,37 +435,53 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
     use repr so values survive the trip unchanged, and NaN cells are left
     blank.  Features are read in ``spec``'s order, the order parsing with
     ``spec`` (or generating, for the default spec) leaves.  Header and name
-    cells are quoted by ``_cell``; lines are joined record by record.
+    cells are quoted by ``_cell``; a game id, league, team or opponent that
+    begins or ends with whitespace raises ``ValueError``, as the reader
+    would strip it.  Lines are encoded ``_CHUNK_LINES`` at a time into one
+    bytes buffer.
     """
     if spec is None:
         spec = FeatureSpec.default()
     feature_cols = [j for j, n in enumerate(spec.names) if n not in RECORD_COLUMNS]
     # itemgetter returns a bare cell, not a tuple, for a single index.
     take = operator.itemgetter(*feature_cols) if len(feature_cols) > 1 else lambda v: [v[j] for j in feature_cols]
-    buf = io.StringIO()
-    buf.write(",".join(map(_cell, [*RECORD_COLUMNS, *(spec.names[j] for j in feature_cols)])) + "\n")
+    out = io.BytesIO()
+    lines = [",".join(map(_cell, [*RECORD_COLUMNS, *(spec.names[j] for j in feature_cols)]))]
+
+    def flush():
+        out.write("\n".join(lines).encode("utf-8"))
+        out.write(b"\n")
+        lines.clear()
+
     for r in records:
         values = take(r.features.tolist())
         if any(map(math.isnan, values)):
             cells = ["" if math.isnan(v) else repr(v) for v in values]
         else:
             cells = map(repr, values)
+        # The game id is checked last: a generated one holds its league's name.
+        league = _name_cell(r.league, "league", r.game_id)
+        team = _name_cell(r.team, "team", r.game_id)
+        opponent = _name_cell(r.opponent, "opponent", r.game_id)
         row = [
-            _cell(r.game_id),
-            _cell(r.league),
+            _name_cell(r.game_id, "gameid", r.game_id),
+            league,
             str(r.season),
             r.timestamp.isoformat(),
-            _cell(r.team),
-            _cell(r.opponent),
+            team,
+            opponent,
             "1" if r.won else "0",
             str(r.kills),
             str(r.opponent_kills),
             "1" if r.is_regular_season else "0",
             *cells,
         ]
-        buf.write(",".join(row))
-        buf.write("\n")
-    return buf.getvalue().encode("utf-8")
+        lines.append(",".join(row))
+        if len(lines) == _CHUNK_LINES:
+            flush()
+    if lines:
+        flush()
+    return out.getvalue()
 
 
 def filter_regular_season(

@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,10 +177,11 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
         ({"league": ""}, "config key 'league' in {config} must be a non-empty string, got \"\""),
         ([1], "config {config} must hold a JSON object"),
         ({"n_teams": 1}, "config {config}: n_teams must be >= 2"),
+        ({"leagues": [" X"]}, "game ' X-2020-0000': league ' X' begins or ends with whitespace, which reading strips"),
     ],
     ids=[
         "leagues-string", "leagues-repeated", "leagues-empty-name", "n-teams-string", "std-bool", "signal-map-string",
-        "league-empty", "list", "n-teams-one",
+        "league-empty", "list", "n-teams-one", "league-padded",
     ],
 )
 def test_simulate_bad_config_value_exits_1(doc, message, tmp_path, capsys):
@@ -337,6 +342,24 @@ def test_simulate_config_leagues_and_seed_flag(tmp_path):
         texts.append(out.read_text())
     assert {line.split(",")[1] for line in texts[0].splitlines()[1:]} == {"AAA", "BBB"}
     assert texts[0] == texts[1] != texts[2]
+
+
+def test_simulate_and_ingest_load_no_sparse_matrices(tmp_path):
+    # Only commands that build a graph import scipy.sparse, which pulls in
+    # numpy.testing, numpy.f2py and numpy.ma through its array-API layer.
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_teams": 4}))
+    code = f"""
+import sys
+from leaguewin.cli import cli_main
+assert cli_main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "season.csv")!r}]) == 0
+assert cli_main(["ingest", "--data", {str(tmp_path / "season.csv")!r}, "--out", {str(tmp_path / "ingest")!r}]) == 0
+loaded = sorted(m for m in ("scipy.sparse", "numpy.testing", "numpy.f2py", "numpy.ma") if m in sys.modules)
+assert not loaded, loaded
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_writes_manifest_with_hashes(season_csv, tmp_path):

@@ -260,6 +260,27 @@ def test_dropout_expectation_matches_no_dropout():
     assert rel.max() < 0.01
 
 
+def test_training_forward_caches_boolean_dropout_masks():
+    # One byte a cell where a float mask keep / (1 - p) takes eight.  A
+    # Chebyshev first stage's T0 term is the dropped-out input itself, which
+    # must hold the float mask's bits, signed zeros of dropped cells included.
+    g = labeled_graph(seed=1, convolutions=2)
+    config = TrainConfig(hidden_dims=[8, 8], dropout=0.3, propagator_kind="gcn-cheby", chebyshev_degree=2)
+    model = init_model(config, g.features.values.shape[1])
+    prop = gcn.build_propagator(g, config.propagator_kind, config.chebyshev_degree)
+    x = g.features.values
+    _, cache = forward(model, x, prop, training=True, rng=np.random.default_rng(3))
+    masks = [st["keep"] for st in cache["stages"]]
+    assert [m.dtype for m in masks] == [np.dtype(bool)] * 3
+    assert [m.shape for m in masks] == [x.shape, (g.n_nodes, 8), (g.n_nodes, 8)]
+    assert 0 < masks[0].mean() < 1
+    h_in = cache["stages"][0]["ph"][0]
+    assert h_in.tobytes() == (x * (masks[0] / (1.0 - config.dropout))).tobytes()
+    assert np.signbit(h_in[~masks[0]]).tolist() == np.signbit(x[~masks[0]]).tolist()
+    _, cache = forward(model, x, prop, training=False)
+    assert [st["keep"] for st in cache["stages"]] == [None] * 3
+
+
 def test_mask_isolation_outside_receptive_field():
     # Two teams, six meetings: with c=1 the final nodes sit outside every
     # masked node's field, so perturbing them cannot move the loss at all.

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -135,6 +136,35 @@ def test_emit_csv_memory_per_row():
         tracemalloc.stop()
     assert len(records) >= 600
     assert peak / len(records) <= 1600
+
+
+def test_emit_csv_holds_one_copy_of_its_output():
+    # Lines are encoded in bounded chunks into one bytes buffer, so the file
+    # is never held as text and as bytes at once.
+    cfg = SynthConfig(n_teams=12, games_per_pair=8, seed=4)
+    records = parse_match_csv(emit_csv(generate_leagues(cfg, ["A", "B", "C"])))
+    tracemalloc.start()
+    try:
+        data = emit_csv(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) >= 3000
+    assert peak <= 1.5 * len(data)
+    assert data == oracles.emit_csv(records)  # across every chunk boundary
+
+
+@pytest.mark.parametrize(
+    "field, name", [("league", " AAA"), ("team", "SYN-T00 "), ("opponent", "\tSYN-T01"), ("game_id", "g1\n ")]
+)
+def test_emit_csv_refuses_a_name_that_reading_would_strip(field, name):
+    # parse_match_csv strips every name cell, so such a name would come back changed.
+    records = generate_league(SynthConfig(n_teams=2, games_per_pair=1, seed=6))
+    setattr(records[1], field, name)
+    column = "gameid" if field == "game_id" else field
+    message = f"game {records[1].game_id!r}: {column} {name!r} begins or ends with whitespace"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit_csv(records)
 
 
 def test_empty_records_emit_header_only():
