@@ -172,6 +172,8 @@ def run_cross_league(
     The cells train through ``pool_map``, in ``cell_workers(len(cells))``
     forked processes or in this one, on jobs ``cell_jobs`` builds here;
     a worker's ``(model, report)`` has the same bits as training it here.
+    The test graphs share their propagators (see ``cell_jobs``), so scoring
+    several cells builds each model kind's test propagator once.
     Closing the generator, finishing it or a cell raising stops and joins
     the pool.
     """
@@ -190,12 +192,20 @@ def cell_jobs(
     """Each cell's ``(config, (train, val, test graph))`` job for ``_train_cell``.
 
     Cells differ in the split only by dataset mode and convolution count
-    (the label offset): each distinct split is built once, and its graphs
-    keep their propagators, so each (split, kind) pair builds them once,
-    here, before any worker is forked.
+    (the label offset): each distinct split is built once.  Splits differ
+    only in features and labels, and a propagator depends on a league's
+    graph structure alone, so a league's graphs share one ``propagators``
+    dict: each (league, kind, degree) propagator is built once per call.
+    The train and validation leagues' are built here, before any worker
+    is forked; the test league's when ``final_test_accuracy`` first needs
+    one.
     """
     keys = dict.fromkeys((dataset, gcn.n_conv_stages(config.hidden_dims)) for config, dataset in cells)
     splits = {key: prepare_split(records, plan, key[0], key[1], spec) for key in keys}
+    shared = {}
+    for split in splits.values():
+        for league, g in zip(plan.leagues, split):
+            g.propagators = shared.setdefault(league, g.propagators)
     jobs = [(config, splits[(dataset, gcn.n_conv_stages(config.hidden_dims))]) for config, dataset in cells]
     for config, (train_g, val_g, _) in jobs:
         for g in (train_g, val_g):

@@ -44,7 +44,8 @@ class LeagueGraph:
     # The convolution count assign_labels labelled for; None while unlabelled.
     convolutions: int | None = None
     # gcn.build_propagator's builds on this graph, by (kind, degree).  Not an
-    # init field, so a replace() copy starts empty and reuses no build.
+    # init field, so a replace() copy starts empty and reuses no build, while
+    # experiment.cell_jobs gives all graphs of one league one shared dict.
     propagators: dict[tuple[str, int], Propagator] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -10,6 +10,7 @@ follow it, so a row's opponent is row ``i ^ 1``.
 from __future__ import annotations
 
 import array
+import codecs
 import csv
 import io
 import json
@@ -221,11 +222,17 @@ def parse_match_csv(
     too short to hold a league cell is still checked.  In a file without a
     ``"`` every line is one row, and another league's line is skipped
     before it is decoded; otherwise every line is decoded and tokenized.
+
+    A leading UTF-8 byte-order mark is dropped.  The rows of a file without
+    a ``"``, a carriage return or a NUL are split at their commas, which
+    gives ``csv.reader``'s cells; the header and other files go through it.
     """
     if spec is None:
         spec = FeatureSpec.default()
     if report is None:
         report = QualityReport()
+    if data.startswith(codecs.BOM_UTF8):  # as spreadsheet programs save: it is no part of the first cell
+        data = data[len(codecs.BOM_UTF8):]
     lines = enumerate(io.BytesIO(data), start=1)
     header = next(_csv_rows(lines), (1, None))[1]
     if header is None:
@@ -238,11 +245,14 @@ def parse_match_csv(
     missing += [c for c in spec.names if c not in col]
     if missing:
         raise SchemaError(f"missing required columns: {sorted(set(missing))}")
-    league_idx = col["league"]
+    gameid_at, league_at, season_at, date_at, team_at, opponent_at, result_at, kills_at, opponent_kills_at = (
+        operator.itemgetter(*REQUIRED_COLUMNS)(col)
+    )
     if leagues is not None:
         leagues = frozenset(leagues)
         if b'"' not in data:
-            lines = _league_lines(lines, league_idx, leagues)
+            lines = _league_lines(lines, league_at, leagues)
+    rows = _csv_rows(lines) if any(b in data for b in (b'"', b"\r", b"\0")) else _split_rows(lines)
     flag_idx = col.get("is_regular_season")
     feature_idx = [col[n] for n in spec.names]
     # itemgetter returns a bare cell, not a tuple, for a single index.
@@ -256,35 +266,25 @@ def parse_match_csv(
     names: dict[str, str] = {}
     dates: dict[str, datetime] = {}
 
-    def name(cell: str) -> str:
-        cell = cell.strip()
-        return names.setdefault(cell, cell)
-
-    def timestamp(cell: str) -> datetime:
-        ts = dates.get(cell)
-        if ts is None:
-            ts = dates[cell] = _parse_timestamp(cell)
-        return ts
-
     records: list[TeamGameRecord] = []
-    for line_no, row in _csv_rows(lines):
-        if not row or all(not c.strip() for c in row):
+    for line_no, row in rows:
+        if not row or (not row[0].strip() and not any(map(str.strip, row))):
             continue
-        if leagues is not None and len(row) > league_idx and row[league_idx].strip() not in leagues:
+        if leagues is not None and len(row) > league_at and row[league_at].strip() not in leagues:
             continue
         report.rows_read += 1
         start = len(values)
         try:
             record = TeamGameRecord(
-                game_id=name(row[col["gameid"]]),
-                league=name(row[league_idx]),
-                season=int(row[col["season"]]),
-                team=name(row[col["team"]]),
-                opponent=name(row[col["opponent"]]),
-                timestamp=timestamp(row[col["date"]]),
-                won=_parse_bool(row[col["result"]], "result"),
-                kills=_parse_count(row[col["kills"]], "kills"),
-                opponent_kills=_parse_count(row[col["opponent_kills"]], "opponent_kills"),
+                game_id=names.setdefault(cell := row[gameid_at].strip(), cell),
+                league=names.setdefault(cell := row[league_at].strip(), cell),
+                season=int(row[season_at]),
+                team=names.setdefault(cell := row[team_at].strip(), cell),
+                opponent=names.setdefault(cell := row[opponent_at].strip(), cell),
+                timestamp=dates.get(cell := row[date_at]) or dates.setdefault(cell, _parse_timestamp(cell)),
+                won=_parse_bool(row[result_at], "result"),
+                kills=_parse_count(row[kills_at], "kills"),
+                opponent_kills=_parse_count(row[opponent_kills_at], "opponent_kills"),
                 features=None,  # a row of the matrix built below
             )
             try:
@@ -332,10 +332,7 @@ def _csv_rows(lines):
         nonlocal first, at
         for at, line in lines:
             first = first or at
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MatchLogError(f"line {at}: {exc}") from None
+            yield _decode(at, line)
 
     reader = csv.reader(text())
     try:
@@ -344,6 +341,26 @@ def _csv_rows(lines):
             first = 0
     except csv.Error as exc:
         raise MatchLogError(f"line {at}: {exc}") from None
+
+
+def _split_rows(lines):
+    """``_csv_rows(lines)`` where each line is one row, in a file without a
+    ``"``, a carriage return or a NUL: a line's cells are its text split at
+    each comma.  A line longer than ``csv.field_size_limit()`` still goes
+    through ``_csv_rows``, so an over-long cell fails as it does there."""
+    limit = csv.field_size_limit()
+    for n, line in lines:
+        if len(line) > limit:
+            yield from _csv_rows(iter([(n, line)]))
+        else:
+            yield n, _decode(n, line).rstrip("\n").split(",")
+
+
+def _decode(n: int, line: bytes) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatchLogError(f"line {n}: {exc}") from None
 
 
 def _league_lines(lines, league_idx: int, leagues: frozenset):
@@ -453,6 +470,15 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
         out.write(b"\n")
         lines.clear()
 
+    # Each distinct name and date cell is formatted once.  Equal datetimes
+    # at different UTC offsets print differently, so a date is keyed by both.
+    named: dict[str, str] = {}
+    stamps: dict[tuple, str] = {}
+
+    def name(text: str, column: str, game_id: str) -> str:
+        named[text] = cell = _name_cell(text, column, game_id)
+        return cell
+
     for r in records:
         values = take(r.features.tolist())
         if any(map(math.isnan, values)):
@@ -460,14 +486,15 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
         else:
             cells = map(repr, values)
         # The game id is checked last: a generated one holds its league's name.
-        league = _name_cell(r.league, "league", r.game_id)
-        team = _name_cell(r.team, "team", r.game_id)
-        opponent = _name_cell(r.opponent, "opponent", r.game_id)
+        league = named.get(r.league) or name(r.league, "league", r.game_id)
+        team = named.get(r.team) or name(r.team, "team", r.game_id)
+        opponent = named.get(r.opponent) or name(r.opponent, "opponent", r.game_id)
+        ts = r.timestamp
         row = [
             _name_cell(r.game_id, "gameid", r.game_id),
             league,
             str(r.season),
-            r.timestamp.isoformat(),
+            stamps.get(key := (ts, ts.utcoffset())) or stamps.setdefault(key, ts.isoformat()),
             team,
             opponent,
             "1" if r.won else "0",

@@ -142,23 +142,66 @@ def test_grid_builds_each_distinct_split_once(monkeypatch):
     assert sorted(calls) == [("delta", 1), ("delta", 2), ("raw", 1), ("raw", 2)]
 
 
-def test_grid_builds_each_split_propagator_once(monkeypatch):
-    records = three_leagues(seed=100)
+def count_propagator_builds(mp):
+    """Patch the propagator builders to log each build as (league, builder),
+    and run every task in this process: a pool worker's builds are lost."""
+    mp.setattr(experiment, "cell_workers", lambda n_tasks: 1)
     calls = []
     for build in (lg.normalized_adjacency, lg.chebyshev_basis):
 
         def counting(g, *args, build=build):
-            calls.append((id(g), build.__name__))
+            calls.append((g.nodes[0][1].split("-")[0], build.__name__))
             return build(g, *args)
 
-        monkeypatch.setattr(lg, build.__name__, counting)
+        mp.setattr(lg, build.__name__, counting)
+    return calls
+
+
+def test_grid_builds_each_split_propagator_once(monkeypatch):
+    # A league's graph structure is the same in every split, so its
+    # propagators are too: the 4 splits' train and validation graphs take
+    # 2 kinds x 2 leagues = 4 builds, and the winner's test graph 1 more.
+    records = three_leagues(seed=100)
+    calls = count_propagator_builds(monkeypatch)
     grid = dict(EIGHT_CELLS, dropout=[0.1, 0.5])
     report = grid_search_gcn(records, PLAN, grid, gcn.TrainConfig(seed=0, max_epochs=5))
     assert len(report.rows) == 16
-    # 4 splits x 2 kinds, a train and a validation graph each, then the
-    # winner's test graph; no graph is built twice for one kind.
-    assert len(calls) == 2 * 8 + 1
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 5 and len(set(calls)) == 5
+    assert sorted(calls[:4]) == [(league, build) for league in ("AAA", "BBB")
+                                 for build in ("chebyshev_basis", "normalized_adjacency")]
+    assert calls[4][0] == "CCC"
+
+
+def test_compare_all_builds_each_league_propagator_once(monkeypatch):
+    # Four GCN cells on three splits, both model kinds: each of the three
+    # leagues' two propagators is built once, the test league's as the
+    # cells are scored.
+    records = three_leagues(seed=100, seasons=3, first_season=2018)
+    calls = count_propagator_builds(monkeypatch)
+    report = compare_all(records, PLAN, gcn.TrainConfig(seed=0, max_epochs=3), SMALL_SCOPE_GRID, rf_seeds=2)
+    assert len(report.rows) == 6
+    assert sorted(calls) == [(league, build) for league in ("AAA", "BBB", "CCC")
+                             for build in ("chebyshev_basis", "normalized_adjacency")]
+
+
+def test_shared_propagators_equal_a_fresh_build_on_each_graph():
+    records = three_leagues(seed=100)
+    cells = gcn_grid_cells(EIGHT_CELLS, gcn.TrainConfig(seed=0))
+    jobs = experiment.cell_jobs(records, PLAN, cells)
+    for config, (_, _, test_g) in jobs:
+        gcn.build_propagator(test_g, config.propagator_kind, config.chebyshev_degree)
+    by_league = [{id(split[i].propagators) for _, split in jobs} for i in range(3)]
+    assert [len(ids) for ids in by_league] == [1, 1, 1]
+    assert all(len(split[2].propagators) == 2 for _, split in jobs)
+    for _, split in jobs:
+        for g in split:
+            for (kind, degree), shared in g.propagators.items():
+                fresh = gcn.build_propagator(replace(g), kind, degree)
+                assert fresh is not shared and len(fresh.matrices) == len(shared.matrices)
+                for a, b in zip(shared.matrices, fresh.matrices):
+                    for part in ("data", "indices", "indptr"):
+                        x, y = getattr(a, part), getattr(b, part)
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def count_forward_passes(mp):

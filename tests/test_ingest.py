@@ -1,4 +1,6 @@
+import csv
 import math
+import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -214,8 +216,10 @@ def test_another_leagues_unpaired_game_is_not_an_error(default_spec):
     [
         (lambda line: line.replace(b",", b",\r", 3), "line 3: new-line character seen in unquoted field"),
         (lambda line: line.replace(b"C,D", b"C\xff,D"), "line 3: 'utf-8' codec can't decode byte 0xff"),
+        (lambda line: line.replace(b"C,D", b"C" + b"x" * csv.field_size_limit() + b",D"),
+         rf"line 3: field larger than field limit \({csv.field_size_limit()}\)"),
     ],
-    ids=["lone-cr", "bad-utf8"],
+    ids=["lone-cr", "bad-utf8", "over-long-cell"],
 )
 def test_another_leagues_unreadable_line_fails_only_a_file_with_quotes(damage, message, default_spec):
     # Without a quote in the file each line is a row, and another league's
@@ -236,6 +240,109 @@ def test_another_leagues_unreadable_line_fails_only_a_file_with_quotes(damage, m
                 parse_match_csv(data, default_spec, leagues=leagues)
         if not quote:
             assert [r.game_id for r in parse_match_csv(data, default_spec, leagues={"LPL"})] == ["g1", "g1"]
+
+
+def test_a_nul_byte_reads_as_csv_reader_reads_it(default_spec):
+    # A file holding a NUL is tokenized by csv.reader, which keeps the NUL
+    # in its cell from Python 3.11 on and rejects the line before that.
+    rows = [
+        minimal_row("g1", "A", "B", 1, 10, 5),
+        minimal_row("g2", "C\0", "D", 1, 9, 2),
+        minimal_row("g2", "D", "C\0", 0, 2, 9),
+        minimal_row("g1", "B", "A", 0, 5, 10),
+    ]
+    if sys.version_info < (3, 11):
+        with pytest.raises(MatchLogError, match="^line 3: line contains NUL"):
+            parse_match_csv(make_csv(rows), default_spec)
+    else:
+        records = parse_match_csv(make_csv(rows), default_spec)
+        assert sorted(r.team for r in records) == ["A", "B", "C\0", "D"]
+
+
+def _untidy_csv():
+    """A quote-free 3-league CSV with every shape of line a reader must
+    read alike: blank, whitespace-only and comma-only lines, short rows,
+    one with a blank first cell, trailing commas, bad numbers, blank
+    feature cells, and a last line without a newline."""
+    data, _ = _three_league_csv(False)
+    lines = data.decode().split("\n")[:-1]
+    out = [lines[0], "", " \t "]
+    for line in lines[1:]:
+        cells = line.split(",")
+        game = cells[0][-5:]
+        if game == "-0002":
+            cells = cells[:5]
+        elif game == "-0003":
+            cells[12] = "1.0x"
+        elif game == "-0004":
+            cells[11] = " "
+        elif game == "-0005":
+            cells.append("")
+        out.append(",".join(cells))
+        if game == "-0006":
+            out += ["", ",, ,", "  ", " ,AAA,2020"]
+    return "\n".join(out).encode()
+
+
+def _forcing_csv_reader(data: bytes, extra: bytes) -> bytes:
+    """``data`` with a ``note`` column, whose one cell, on line 4, is
+    ``extra``: a quoted cell or a NUL sends every row to csv.reader."""
+    lines = data.split(b"\n")
+    lines[0] += b",note"
+    lines[3] += b"," + extra
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("forced", ["quote", "nul", "crlf"])
+@pytest.mark.parametrize("leagues", [None, ["CCC"], ["AAA", "BBB"]])
+def test_splitting_a_quote_free_line_reads_as_csv_reader(forced, leagues, default_spec):
+    data = _untidy_csv()
+    assert data.split(b"\n")[3].startswith(b"AAA-2020-")
+    if forced == "crlf":
+        other = data.replace(b"\n", b"\r\n")
+    else:
+        other = _forcing_csv_reader(data, b'"x"' if forced == "quote" else b"\0")
+    got, want = QualityReport(), QualityReport()
+    assert_same_records(parse_match_csv(data, default_spec, got, leagues),
+                        parse_match_csv(other, default_spec, want, leagues))
+    assert got.to_dict() == want.to_dict()
+    assert got.rows_read > got.records_parsed > 0
+    assert {msg for _, msg in got.row_errors} >= {"list index out of range",
+                                                   "could not convert string to float: '1.0x'"}
+    # A row is blank only when every cell is, whatever its first cell holds.
+    blank_first = {n for n, line in enumerate(data.split(b"\n"), start=1) if line.startswith(b" ,AAA,")}
+    assert len(blank_first) == 6
+    assert (blank_first <= {n for n, _ in got.row_errors}) == (leagues is None or "AAA" in leagues)
+
+
+def test_a_quote_free_file_sends_only_its_header_through_csv_reader(monkeypatch, default_spec):
+    rows_read = []
+    real = csv.reader
+
+    def counting(lines):
+        for row in real(lines):
+            rows_read.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", counting)
+    data = _untidy_csv()
+    parse_match_csv(data, default_spec)
+    assert rows_read == [data.split(b"\n", 1)[0].decode().split(",")]
+    rows_read.clear()
+    records = parse_match_csv(_forcing_csv_reader(data, b"\0"), default_spec)
+    assert len(rows_read) > len(records) > 0
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+def test_a_byte_order_mark_reads_as_the_same_file_without_it(quoted, default_spec):
+    data, _ = _three_league_csv(quoted)
+    if quoted:
+        data = b'"gameid"' + data[len(b"gameid"):]
+    for leagues in (None, ["BBB"]):
+        plain, marked = QualityReport(), QualityReport()
+        want = parse_match_csv(data, default_spec, plain, leagues)
+        assert_same_records(parse_match_csv(b"\xef\xbb\xbf" + data, default_spec, marked, leagues), want)
+        assert marked.to_dict() == plain.to_dict() and plain.row_errors
 
 
 def test_round_trip_through_emitter(default_spec):
