@@ -231,9 +231,10 @@ def parse_match_csv(
         spec = FeatureSpec.default()
     if report is None:
         report = QualityReport()
+    stream = io.BytesIO(data)
     if data.startswith(codecs.BOM_UTF8):  # as spreadsheet programs save: it is no part of the first cell
-        data = data[len(codecs.BOM_UTF8):]
-    lines = enumerate(io.BytesIO(data), start=1)
+        stream.seek(len(codecs.BOM_UTF8))
+    lines = enumerate(stream, start=1)
     header = next(_csv_rows(lines), (1, None))[1]
     if header is None:
         raise SchemaError("empty input: no header row")
@@ -248,11 +249,12 @@ def parse_match_csv(
     gameid_at, league_at, season_at, date_at, team_at, opponent_at, result_at, kills_at, opponent_kills_at = (
         operator.itemgetter(*REQUIRED_COLUMNS)(col)
     )
+    quoted = b'"' in data
     if leagues is not None:
         leagues = frozenset(leagues)
-        if b'"' not in data:
+        if not quoted:
             lines = _league_lines(lines, league_at, leagues)
-    rows = _csv_rows(lines) if any(b in data for b in (b'"', b"\r", b"\0")) else _split_rows(lines)
+    rows = _csv_rows(lines) if quoted or b"\r" in data or b"\0" in data else _split_rows(lines)
     flag_idx = col.get("is_regular_season")
     feature_idx = [col[n] for n in spec.names]
     # itemgetter returns a bare cell, not a tuple, for a single index.
@@ -474,11 +476,6 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
     # at different UTC offsets print differently, so a date is keyed by both.
     named: dict[str, str] = {}
     stamps: dict[tuple, str] = {}
-
-    def name(text: str, column: str, game_id: str) -> str:
-        named[text] = cell = _name_cell(text, column, game_id)
-        return cell
-
     for r in records:
         values = take(r.features.tolist())
         if any(map(math.isnan, values)):
@@ -486,9 +483,9 @@ def emit_csv(records: list[TeamGameRecord], spec: FeatureSpec | None = None) -> 
         else:
             cells = map(repr, values)
         # The game id is checked last: a generated one holds its league's name.
-        league = named.get(r.league) or name(r.league, "league", r.game_id)
-        team = named.get(r.team) or name(r.team, "team", r.game_id)
-        opponent = named.get(r.opponent) or name(r.opponent, "opponent", r.game_id)
+        league = named.get(x := r.league) or named.setdefault(x, _name_cell(x, "league", r.game_id))
+        team = named.get(x := r.team) or named.setdefault(x, _name_cell(x, "team", r.game_id))
+        opponent = named.get(x := r.opponent) or named.setdefault(x, _name_cell(x, "opponent", r.game_id))
         ts = r.timestamp
         row = [
             _name_cell(r.game_id, "gameid", r.game_id),

@@ -143,9 +143,9 @@ def test_grid_builds_each_distinct_split_once(monkeypatch):
 
 
 def count_propagator_builds(mp):
-    """Patch the propagator builders to log each build as (league, builder),
-    and run every task in this process: a pool worker's builds are lost."""
-    mp.setattr(experiment, "cell_workers", lambda n_tasks: 1)
+    """Patch the propagator builders to log each build as (league, builder).
+    A pool worker's builds are lost, so the counts are those made before
+    the pool forks and as the test graphs are scored."""
     calls = []
     for build in (lg.normalized_adjacency, lg.chebyshev_basis):
 
@@ -188,6 +188,9 @@ def test_shared_propagators_equal_a_fresh_build_on_each_graph():
     records = three_leagues(seed=100)
     cells = gcn_grid_cells(EIGHT_CELLS, gcn.TrainConfig(seed=0))
     jobs = experiment.cell_jobs(records, PLAN, cells)
+    for config, (train_g, val_g, _) in jobs:  # built before any worker forks
+        key = (config.propagator_kind, config.chebyshev_degree)
+        assert key in train_g.propagators and key in val_g.propagators
     for config, (_, _, test_g) in jobs:
         gcn.build_propagator(test_g, config.propagator_kind, config.chebyshev_degree)
     by_league = [{id(split[i].propagators) for _, split in jobs} for i in range(3)]
