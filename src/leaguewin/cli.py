@@ -287,10 +287,18 @@ def _feature_spec(args, config: dict) -> FeatureSpec:
 
 
 def _records(
-    args, spec: FeatureSpec | None = None, report: QualityReport | None = None, leagues: Collection[str] | None = None
+    args,
+    spec: FeatureSpec | None = None,
+    report: QualityReport | None = None,
+    league_seasons: Collection[tuple[str, int]] | None = None,
 ):
-    """The --data CSV's records, of ``leagues`` only when given (see ``parse_match_csv``)."""
-    return parse_match_csv(Path(args.data).read_bytes(), spec, report, leagues)
+    """The --data CSV's records, of ``league_seasons`` only when given (see ``parse_match_csv``)."""
+    return parse_match_csv(Path(args.data).read_bytes(), spec, report, league_seasons)
+
+
+def _plan_seasons(plan: experiment.SplitPlan) -> set[tuple[str, int]]:
+    """The plan's three leagues in its season."""
+    return {(league, plan.season) for league in plan.leagues}
 
 
 def _cmd_simulate(args) -> tuple[dict, str]:
@@ -319,7 +327,8 @@ def _cmd_ingest(args) -> tuple[dict, str]:
 
 def _cmd_build_graph(args) -> tuple[dict, str]:
     spec = _feature_spec(args, _config(args))
-    records = experiment.league_games(_records(args, spec, leagues={args.league}), args.league, args.season)
+    records = _records(args, spec, league_seasons={(args.league, args.season)})
+    records = experiment.league_games(records, args.league, args.season)
     matrix = build_feature_matrix(records, spec, args.mode or "raw")
     g = lg.build_league_graph(records, features=matrix)
     g = lg.assign_labels(g, args.layers or 1)
@@ -349,7 +358,7 @@ def _cmd_train(args) -> tuple[dict, str]:
     config = _train_config(args, doc)
     spec = _feature_spec(args, doc)
     plan = _plan(args)
-    records = _records(args, spec, leagues=plan.leagues)
+    records = _records(args, spec, league_seasons=_plan_seasons(plan))
     best, report, stats = experiment.train_for_plan(records, plan, config, mode, spec)
     bundle = {
         "schema_version": BUNDLE_SCHEMA_VERSION,
@@ -387,7 +396,7 @@ def _cmd_predict(args) -> tuple[dict, str]:
     features = bundle["feature_spec"]["features"]
     spec = _made("model bundle", args.model_file, FeatureSpec, list(features), dict(features))
     stats = _made("model bundle", args.model_file, _bundle_stats, bundle["standardization"], spec, model)
-    records = _records(args, spec, leagues={args.league})
+    records = _records(args, spec, league_seasons={(args.league, args.season)})
     g = experiment.league_graph_for(records, args.league, args.season, spec, bundle["mode"], model.conv_stages, stats)
     probs = gcn.predict(model, g)
     table = io.StringIO()
@@ -408,7 +417,7 @@ def _cmd_grid_search(args) -> tuple[dict, str]:
     # Building the cells checks every setting in the grid before the CSV is read.
     _made("config", args.config, experiment.gcn_grid_cells, grid or experiment.default_gcn_grid(), config)
     spec = _feature_spec(args, doc)
-    records = _records(args, spec, leagues=plan.leagues)
+    records = _records(args, spec, league_seasons=_plan_seasons(plan))
     report = experiment.grid_search_gcn(records, plan, grid, config, spec)
     winner = [r for r in report.rows if r.note == "winner"][0]
     summary = f"winner: {winner.model} + {winner.dataset}, test acc {winner.test_accuracy:.4f}"
@@ -416,7 +425,7 @@ def _cmd_grid_search(args) -> tuple[dict, str]:
 
 
 def _cmd_baseline_scope(args) -> tuple[dict, str]:
-    records = _records(args, leagues={args.league})
+    records = _records(args, league_seasons={(args.league, s) for s in experiment.scope_seasons(args.season)})
     grid = _config(args, SCOPE_GRID_TYPES) if args.config else None
     spans = experiment.scope_spans(records, args.league, args.season)
     result = sc.scope_protocol(spans[0], spans[1], spans[2], grid)
@@ -438,7 +447,7 @@ def _cmd_baseline_forest(args) -> tuple[dict, str]:
     plan = _plan(args)
     if args.lookback < 1:
         raise ValueError(f"--lookback must be >= 1, got {args.lookback}")
-    records = _records(args, leagues={plan.train_league, plan.test_league})
+    records = _records(args, league_seasons={(plan.train_league, plan.season), (plan.test_league, plan.season)})
     row = experiment.random_forest_row(
         records, plan, lookback=args.lookback, mode=args.mode or "delta"
     )
@@ -454,7 +463,8 @@ def _cmd_compare(args) -> tuple[dict, str]:
     plan = _plan(args)
     doc = _config(args)
     spec = _feature_spec(args, doc)
-    records = _records(args, spec, leagues=plan.leagues)
+    scope = {(plan.test_league, s) for s in experiment.scope_seasons(plan.season)}  # the SCOPE row's seasons
+    records = _records(args, spec, league_seasons=_plan_seasons(plan) | scope)
     report = experiment.compare_all(records, plan, _train_config(args, doc), spec=spec)
     accs = ["skipped" if row.test_accuracy is None else f"{row.test_accuracy:.4f}" for row in report.rows]
     summary = "\n".join(f"{row.model} + {row.dataset}: {acc}" for row, acc in zip(report.rows, accs))

@@ -443,11 +443,17 @@ def scope_row(
     )
 
 
+def scope_seasons(season: int) -> tuple[int, int, int]:
+    """The seasons the SCOPE protocol reads for test season ``season``: the
+    two before it (initialization, validation) and ``season`` itself."""
+    return (season - 2, season - 1, season)
+
+
 def scope_spans(records: list[TeamGameRecord], league: str, season: int) -> list[list[sc.GameResult]]:
-    """One league's games for the SCOPE protocol: the two seasons before
-    ``season`` (initialization, validation) and ``season`` itself (test)."""
+    """One league's games for the SCOPE protocol, one span per season of
+    ``scope_seasons(season)``."""
     spans = []
-    for s in (season - 2, season - 1, season):
+    for s in scope_seasons(season):
         recs = filter_regular_season(records, league, s)
         if not recs:
             raise ValueError(f"no {league} games for season {s}")

@@ -206,7 +206,7 @@ def parse_match_csv(
     data: bytes,
     spec: FeatureSpec | None = None,
     report: QualityReport | None = None,
-    leagues: Collection[str] | None = None,
+    league_seasons: Collection[tuple[str, int]] | None = None,
 ) -> list[TeamGameRecord]:
     """Parse a UTF-8 match-log CSV into validated team-game records.
 
@@ -214,14 +214,17 @@ def parse_match_csv(
     are skipped and recorded in ``report`` with the line each row starts
     on; schema and pairing violations raise.
 
-    ``leagues``, a collection of league names, limits the parse to rows
-    whose ``league`` cell, stripped, names one of them: only those are
-    converted, checked, counted in ``report.rows_read`` and paired, so the
-    records and row errors are those of the full parse filtered to them,
-    and another league's bad row or unpaired game is not an error.  A row
-    too short to hold a league cell is still checked.  In a file without a
-    ``"`` every line is one row, and another league's line is skipped
-    before it is decoded; otherwise every line is decoded and tokenized.
+    ``league_seasons``, a collection of ``(league, season)`` pairs, limits
+    the parse to rows whose ``league`` cell, stripped, and ``season`` cell,
+    as ``int`` reads it, make one of them: only those are converted,
+    checked, counted in ``report.rows_read`` and paired, so the records and
+    row errors are those of the full parse filtered to them, and another
+    league-season's bad row or unpaired game is not an error.  A row too
+    short to hold its league or season cell, or whose season cell in a
+    read league is not an integer, is still parsed, and fails as a row
+    error.  In a file without a ``"`` every line is one row, and another
+    league-season's line is skipped before it is decoded; otherwise every
+    line is decoded and tokenized.
 
     A leading UTF-8 byte-order mark is dropped.  The rows of a file without
     a ``"``, a carriage return or a NUL are split at their commas, which
@@ -250,10 +253,16 @@ def parse_match_csv(
         operator.itemgetter(*REQUIRED_COLUMNS)(col)
     )
     quoted = b'"' in data
-    if leagues is not None:
-        leagues = frozenset(leagues)
-        if not quoted:
-            lines = _league_lines(lines, league_at, leagues)
+    seasons = None  # league -> the seasons read of it, for rows checked once tokenized
+    if league_seasons is not None:
+        wanted: dict[str, set[int]] = {}
+        for league, season in league_seasons:
+            wanted.setdefault(league, set()).add(season)
+        if quoted:  # a row may span lines
+            seasons = wanted
+        else:  # each line is one row, skipped before it is decoded
+            lines = _season_lines(lines, league_at, season_at, wanted)
+    last = max(league_at, season_at)
     rows = _csv_rows(lines) if quoted or b"\r" in data or b"\0" in data else _split_rows(lines)
     flag_idx = col.get("is_regular_season")
     feature_idx = [col[n] for n in spec.names]
@@ -272,8 +281,10 @@ def parse_match_csv(
     for line_no, row in rows:
         if not row or (not row[0].strip() and not any(map(str.strip, row))):
             continue
-        if leagues is not None and len(row) > league_at and row[league_at].strip() not in leagues:
-            continue
+        if seasons is not None and len(row) > last:
+            read = seasons.get(row[league_at].strip())
+            if read is None or _outside(read, row[season_at]):
+                continue
         report.rows_read += 1
         start = len(values)
         try:
@@ -365,20 +376,33 @@ def _decode(n: int, line: bytes) -> str:
         raise MatchLogError(f"line {n}: {exc}") from None
 
 
-def _league_lines(lines, league_idx: int, leagues: frozenset):
+def _season_lines(lines, league_idx: int, season_idx: int, seasons: dict[str, set[int]]):
     """``lines`` but those whose ``league_idx``-th comma-separated cell,
-    decoded and stripped, names a league outside ``leagues``; a line is
-    kept whole when it has no such cell or the cell is not UTF-8.  Exact
-    only where a line is one row, in a file without a ``"``."""
+    decoded and stripped, names a league outside ``seasons``, or a league
+    whose seasons there leave out the ``season_idx``-th cell, decoded, as
+    ``int`` reads it.  A line is kept whole when it has no such cells, when
+    a cell it decodes is not UTF-8, or when that season cell is no integer.
+    Exact only where a line is one row, in a file without a ``"``."""
+    last = max(league_idx, season_idx)
     for n, line in lines:
-        cells = line.split(b",", league_idx + 1)
-        if len(cells) > league_idx:
+        cells = line.split(b",", last + 1)
+        if len(cells) > last:
             try:
-                if cells[league_idx].decode("utf-8").strip() not in leagues:
+                read = seasons.get(cells[league_idx].decode("utf-8").strip())
+                if read is None or _outside(read, cells[season_idx].decode("utf-8")):
                     continue
             except UnicodeDecodeError:
                 pass  # decoding the whole line raises, naming it
         yield n, line
+
+
+def _outside(read: set[int], cell: str) -> bool:
+    """Whether a season cell, as ``int`` reads it, is outside ``read``; a
+    cell that is no integer is read, to fail as the row error it is."""
+    try:
+        return int(cell) not in read
+    except ValueError:
+        return False
 
 
 def _parse_count(raw: str, column: str) -> int:

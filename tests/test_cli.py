@@ -403,7 +403,8 @@ def test_infinite_feature_cells_are_row_errors(season_csv, plan_json, tmp_path, 
     header = lines[0].split(",")
     towers, gameid = header.index("towers"), header.index("gameid")
     rows = [line.split(",") for line in lines[1:]]
-    game = rows[0][gameid]
+    # A game of the train league in the plan's season, which train reads.
+    game = next(row[gameid] for row in rows if row[gameid].startswith("AAA-2020-"))
     pair = [i for i, row in enumerate(rows) if row[gameid] == game]
     data = tmp_path / "infinite.csv"
     out = tmp_path / "o"
@@ -478,13 +479,19 @@ def test_simulate_and_ingest_csv_bytes_are_pinned(season_csv, tmp_path):
 
 
 def test_another_leagues_bad_rows_stop_only_ingest(season_csv, plan_json, tmp_path, capsys):
-    # predict and build-graph read CCC alone: a bad row and an unpaired game
-    # in BBB leave their outputs as they are, while ingest reads every row.
+    # predict and build-graph read CCC 2020 alone, and grid-search the
+    # plan's three leagues in 2020: a bad row and an unpaired game in BBB
+    # 2020, or in season 2019 of the train league AAA, leave the outputs of
+    # the commands that do not read them as they are, while ingest reads
+    # every row.
     train_out = tmp_path / "train_out"
     assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(train_out)]) == 0
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"max_epochs": 2, "grid": _GRID}))
     scored = {
         "predict": ["predict", "--model-file", str(train_out / "model.json"), "--league", "CCC", "--season", "2020"],
         "build-graph": ["build-graph", "--league", "CCC", "--season", "2020"],
+        "grid-search": ["grid-search", "--plan", str(plan_json), "--config", str(grid)],
     }
 
     def run(argv, data, out):
@@ -492,31 +499,33 @@ def test_another_leagues_bad_rows_stop_only_ingest(season_csv, plan_json, tmp_pa
         return code, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"} if code == 0 else None
 
     clean = {name: run(argv, season_csv, tmp_path / "clean" / name) for name, argv in scored.items()}
-    lines = season_csv.read_text().splitlines()
-    kills = lines[0].split(",").index("kills")
-    bbb = sorted({line.split(",")[0] for line in lines[1:] if line.startswith("BBB-2020-")})
-    bad_game, unpaired_game = bbb[0], bbb[1]
-    bad_lines = [n for n, line in enumerate(lines, start=1) if line.startswith(f"{bad_game},")]
-    for n in bad_lines:
-        row = lines[n - 1].split(",")
-        row[kills] = "bad"
-        lines[n - 1] = ",".join(row)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    assert cli_main(["ingest", "--data", str(bad), "--out", str(tmp_path / "ingest_bad")]) == 0
-    report = json.loads((tmp_path / "ingest_bad" / "quality_report.json").read_text())
-    assert report["row_errors"] == [[n, "invalid literal for int() with base 10: 'bad'"] for n in bad_lines]
+    kills = season_csv.read_text().splitlines()[0].split(",").index("kills")
+    for prefix, unread_by in [("BBB-2020-", ["predict", "build-graph"]), ("AAA-2019-", list(scored))]:
+        lines = season_csv.read_text().splitlines()
+        games = sorted({line.split(",")[0] for line in lines[1:] if line.startswith(prefix)})
+        bad_game, unpaired_game = games[0], games[1]
+        bad_lines = [n for n, line in enumerate(lines, start=1) if line.startswith(f"{bad_game},")]
+        for n in bad_lines:
+            row = lines[n - 1].split(",")
+            row[kills] = "bad"
+            lines[n - 1] = ",".join(row)
+        bad = tmp_path / prefix / "bad.csv"
+        bad.parent.mkdir()
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli_main(["ingest", "--data", str(bad), "--out", str(tmp_path / prefix / "ingest_bad")]) == 0
+        report = json.loads((tmp_path / prefix / "ingest_bad" / "quality_report.json").read_text())
+        assert report["row_errors"] == [[n, "invalid literal for int() with base 10: 'bad'"] for n in bad_lines]
 
-    lines.remove(next(line for line in lines if line.startswith(f"{unpaired_game},")))
-    broken = tmp_path / "broken.csv"
-    broken.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cli_main(["ingest", "--data", str(broken), "--out", str(tmp_path / "ingest_broken")]) == 1
-    assert f"error: 1 game id(s) without exactly two rows: {unpaired_game}" in capsys.readouterr().err
-    for name, argv in scored.items():
-        assert run(argv, broken, tmp_path / "broken" / name) == clean[name]
+        lines.remove(next(line for line in lines if line.startswith(f"{unpaired_game},")))
+        broken = tmp_path / prefix / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["ingest", "--data", str(broken), "--out", str(tmp_path / prefix / "ingest_broken")]) == 1
+        assert f"error: 1 game id(s) without exactly two rows: {unpaired_game}" in capsys.readouterr().err
+        for name in unread_by:
+            assert run(scored[name], broken, tmp_path / prefix / name) == clean[name]
 
-    # A line of the league a command reads is still read in full, and named.
+    # A line of a league-season a command reads is still read in full, and named.
     data = broken.read_bytes().split(b"\n")
     n = next(n for n, line in enumerate(data, start=1) if line.startswith(b"CCC-2020-"))
     data[n - 1] = data[n - 1].replace(b"-T0", b"-T\xff", 1)
@@ -526,6 +535,43 @@ def test_another_leagues_bad_rows_stop_only_ingest(season_csv, plan_json, tmp_pa
         capsys.readouterr()
         assert run(argv, unreadable, tmp_path / "unreadable" / name) == (1, None)
         assert f"error: line {n}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+# Each command that reads the match CSV: the options it is run with, and the
+# (league, season) pairs it parses (None: every row).  A command that needs
+# another league-season has to say so here.
+_READS = {
+    "ingest": ([], None),
+    "build-graph": (["--league", "CCC", "--season", "2020"], {("CCC", 2020)}),
+    "predict": (["--model-file", "{model}", "--league", "CCC", "--season", "2020"], {("CCC", 2020)}),
+    "baseline-scope": (["--league", "CCC", "--season", "2020"], {("CCC", 2018), ("CCC", 2019), ("CCC", 2020)}),
+    "train": (["--plan", "{plan}"], {("AAA", 2020), ("BBB", 2020), ("CCC", 2020)}),
+    "grid-search": (["--plan", "{plan}"], {("AAA", 2020), ("BBB", 2020), ("CCC", 2020)}),
+    "baseline-forest": (["--plan", "{plan}"], {("AAA", 2020), ("CCC", 2020)}),
+    "compare": (["--plan", "{plan}"], {("AAA", 2020), ("BBB", 2020), ("CCC", 2018), ("CCC", 2019), ("CCC", 2020)}),
+}
+
+
+def test_every_command_reading_the_csv_is_pinned():
+    assert set(_READS) == {command for command, (_, _, options) in COMMANDS.items() if "data" in options}
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_each_command_parses_exactly_the_league_seasons_it_reads(command, season_csv, plan_json, tmp_path, monkeypatch):
+    model = tmp_path / "model" / "model.json"
+    if command == "predict":
+        assert cli_main(["train", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(model.parent)]) == 0
+    passed = []
+
+    def recording(data, spec=None, report=None, league_seasons=None):
+        passed.append(league_seasons)
+        raise cli.MatchLogError("recorded")
+
+    monkeypatch.setattr(cli, "parse_match_csv", recording)
+    options, pairs = _READS[command]
+    argv = [a.format(plan=plan_json, model=model) for a in options]
+    assert cli_main([command, *argv, "--data", str(season_csv), "--out", str(tmp_path / "o")]) == 1
+    assert passed == [pairs]
 
 
 def test_train_predict_round_trip(season_csv, plan_json, tmp_path):

@@ -158,12 +158,13 @@ def test_row_errors_name_the_line_a_row_starts_on(index, value, message, default
     assert report.row_errors == [(8, message), (9, message)]
 
 
-def _three_league_csv(quoted: bool):
-    """A 3-league CSV, and the league of each line a damaged row starts on:
-    in every league both rows of game 0000 have kills -1 and both rows of
+def _three_league_csv(quoted: bool, seasons: int = 1):
+    """A 3-league CSV of ``seasons`` seasons ending in 2020, and the
+    ``(league, season)`` of each line a damaged row starts on: in every
+    league-season both rows of game 0000 have kills -1 and both rows of
     game 0001 an infinite feature.  With ``quoted`` a BBB team's name holds
     a comma and a newline, so the file holds quotes and a row spans two lines."""
-    cfg = synth.SynthConfig(n_teams=4, games_per_pair=2, seed=12)
+    cfg = synth.SynthConfig(n_teams=4, games_per_pair=2, seed=12, seasons=seasons, first_season=2021 - seasons)
     records = synth.generate_leagues(cfg, ["AAA", "BBB", "CCC"])
     for r in records:
         if quoted:
@@ -174,72 +175,149 @@ def _three_league_csv(quoted: bool):
             r.features[-1] = np.inf
     data = emit_csv(records)
     damaged = {
-        n: line[:3].decode()
+        n: (line[:3].decode(), int(line[4:8]))
         for n, line in enumerate(data.split(b"\n"), start=1)
-        if line[3:14] in (b"-2020-0000,", b"-2020-0001,")
+        if line[8:14] in (b"-0000,", b"-0001,")
     }
-    assert (b'"' in data) == quoted and len(damaged) == 12
+    assert (b'"' in data) == quoted and len(damaged) == 12 * seasons
     return data, damaged
 
 
+def _row_starts(data: bytes) -> dict[int, list[str]]:
+    """Each row's cells, by the line the row starts on, as ``csv.reader`` reads ``data``."""
+    reader = csv.reader(data.decode().splitlines(keepends=True))
+    starts, first = {}, 1
+    for row in reader:
+        starts[first] = row
+        first = reader.line_num + 1
+    return starts
+
+
+def _read_by(pairs, cells: list[str]) -> bool:
+    """Whether a row with ``cells`` is read when parsing ``pairs``: one too
+    short to hold its league or season cell is, and so is one of a league
+    in ``pairs`` whose season cell is no integer."""
+    if len(cells) < 3:
+        return True
+    league = cells[1].strip()
+    if league not in {name for name, _ in pairs}:
+        return False
+    try:
+        return (league, int(cells[2])) in pairs
+    except ValueError:
+        return True
+
+
+def _two_season_csv(quoted: bool) -> bytes:
+    """``_three_league_csv(quoted, 2)``, with the season cells of both rows
+    of every game 0002 padded with spaces, those of every game 0003 no
+    integer, and a row too short to hold a season cell on line 5."""
+    data, _ = _three_league_csv(quoted, seasons=2)
+    lines = data.split(b"\n")
+    for n, line in enumerate(lines):
+        cells = line.split(b",", 3)
+        if line[8:14] == b"-0002,":
+            cells[2] = b" " + cells[2] + b" "
+        elif line[8:14] == b"-0003,":
+            cells[2] += b"x"
+        lines[n] = b",".join(cells)
+    lines.insert(4, b"AAA-2020-9999,AAA")
+    return b"\n".join(lines)
+
+
+def _pairs(leagues: dict[str, list[int]] | None):
+    """The ``(league, season)`` pairs of ``leagues``, each league's seasons
+    read; None, for every row, when it is None."""
+    return None if leagues is None else {(league, s) for league, seasons in leagues.items() for s in seasons}
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
-@pytest.mark.parametrize("leagues", [["CCC"], ["BBB"], ["AAA", "CCC"], ["AAA", "BBB", "CCC"], ["ZZZ"], []])
+@pytest.mark.parametrize(
+    "leagues",
+    [
+        {"CCC": [2020]},
+        {"BBB": [2019, 2020]},
+        {"AAA": [2019], "CCC": [2020]},
+        {"AAA": [2019, 2020], "BBB": [2020], "CCC": [2019, 2020]},
+        {"ZZZ": [2020]},
+        {},
+        {"AAA": [2018]},
+        {"BBB": [2019]},
+    ],
+)
 def test_league_scoped_parse_matches_filtering_the_full_parse(quoted, leagues, default_spec):
-    data, damaged = _three_league_csv(quoted)
+    data = _two_season_csv(quoted)
+    pairs = _pairs(leagues)
+    starts = _row_starts(data)
     full_report, report = QualityReport(), QualityReport()
     full = parse_match_csv(data, default_spec, full_report)
-    scoped = parse_match_csv(data, default_spec, report, leagues=leagues)
-    assert_same_records(scoped, [r for r in full if r.league in leagues])
-    assert sorted(damaged) == [line for line, _ in full_report.row_errors]
-    assert report.row_errors == [(line, msg) for line, msg in full_report.row_errors if damaged[line] in leagues]
+    scoped = parse_match_csv(data, default_spec, report, league_seasons=pairs)
+    assert_same_records(scoped, [r for r in full if (r.league, r.season) in pairs])
+    assert report.row_errors == [(line, msg) for line, msg in full_report.row_errors if _read_by(pairs, starts[line])]
     assert report.rows_read == len(scoped) + len(report.row_errors)
     assert report.records_parsed == len(scoped)
+    # The full parse meets each kind of row: 24 damaged rows, 12 rows whose
+    # season is no integer and the short row; the spaced seasons read.
+    assert len(full_report.row_errors) == 24 + 12 + 1
+    assert {msg for _, msg in full_report.row_errors} >= {"list index out of range",
+                                                          "invalid literal for int() with base 10: '2019x'"}
+    assert {r.season for r in full if r.game_id.endswith("-0002")} == {2019, 2020}
 
 
 def test_another_leagues_unpaired_game_is_not_an_error(default_spec):
+    # Games g2 (league LCK) and g3 (season 2019) lack their second row.
     data = make_csv(
         [
             minimal_row("g1", "A", "B", 1, 10, 5),
             minimal_row("g1", "B", "A", 0, 5, 10),
             minimal_row("g2", "C", "D", 1, 9, 2, league="LCK"),
+            minimal_row("g3", "A", "B", 1, 9, 2, season=2019),
         ]
     )
-    with pytest.raises(PairingError, match="g2"):
+    with pytest.raises(PairingError, match="rows: g2, g3$"):
         parse_match_csv(data, default_spec)
-    assert [r.game_id for r in parse_match_csv(data, default_spec, leagues={"LPL"})] == ["g1", "g1"]
-    with pytest.raises(PairingError, match="g2"):
-        parse_match_csv(data, default_spec, leagues={"LCK"})
+    assert [r.game_id for r in parse_match_csv(data, default_spec, league_seasons={("LPL", 2020)})] == ["g1", "g1"]
+    with pytest.raises(PairingError, match="rows: g2$"):
+        parse_match_csv(data, default_spec, league_seasons={("LCK", 2020)})
+    with pytest.raises(PairingError, match="rows: g3$"):
+        parse_match_csv(data, default_spec, league_seasons={("LPL", 2019), ("LPL", 2020)})
 
 
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda line: line.replace(b",", b",\r", 3), "line 3: new-line character seen in unquoted field"),
-        (lambda line: line.replace(b"C,D", b"C\xff,D"), "line 3: 'utf-8' codec can't decode byte 0xff"),
+        (lambda line: line.replace(b",", b",\r", 3), "new-line character seen in unquoted field"),
+        (lambda line: line.replace(b"C,D", b"C\xff,D"), "'utf-8' codec can't decode byte 0xff"),
         (lambda line: line.replace(b"C,D", b"C" + b"x" * csv.field_size_limit() + b",D"),
-         rf"line 3: field larger than field limit \({csv.field_size_limit()}\)"),
+         rf"field larger than field limit \({csv.field_size_limit()}\)"),
     ],
     ids=["lone-cr", "bad-utf8", "over-long-cell"],
 )
 def test_another_leagues_unreadable_line_fails_only_a_file_with_quotes(damage, message, default_spec):
-    # Without a quote in the file each line is a row, and another league's
-    # line is skipped unread; with one, every line is decoded and tokenized.
+    # Without a quote in the file each line is a row, and another
+    # league-season's line is skipped unread; with one, every line is
+    # decoded and tokenized.  The damaged line is one of league LCK, then
+    # one of season 2019.
     rows = [
         minimal_row("g1", "A", "B", 1, 10, 5),
         minimal_row("g2", "C", "D", 1, 9, 2, league="LCK"),
         minimal_row("g2", "D", "C", 0, 2, 9, league="LCK"),
+        minimal_row("g3", "C", "D", 1, 9, 2, season=2019),
+        minimal_row("g3", "D", "C", 0, 2, 9, season=2019),
         minimal_row("g1", "B", "A", 0, 5, 10),
     ]
-    for quote in (b"", b'"'):
-        lines = make_csv(rows).split(b"\n")
-        lines[2] = damage(lines[2])
-        lines[1] = lines[1].replace(b"g1", quote + b"g1" + quote)
-        data = b"\n".join(lines)
-        for leagues in [None, {"LCK"}, {"LPL"}] if quote else [None, {"LCK"}]:
-            with pytest.raises(MatchLogError, match=f"^{message}"):
-                parse_match_csv(data, default_spec, leagues=leagues)
-        if not quote:
-            assert [r.game_id for r in parse_match_csv(data, default_spec, leagues={"LPL"})] == ["g1", "g1"]
+    for line, pair in [(3, ("LCK", 2020)), (5, ("LPL", 2019))]:
+        for quote in (b"", b'"'):
+            lines = make_csv(rows).split(b"\n")
+            lines[line - 1] = damage(lines[line - 1])
+            lines[1] = lines[1].replace(b"g1", quote + b"g1" + quote)
+            data = b"\n".join(lines)
+            for pairs in [None, {pair}, {("LPL", 2020)}] if quote else [None, {pair}]:
+                with pytest.raises(MatchLogError, match=f"^line {line}: {message}"):
+                    parse_match_csv(data, default_spec, league_seasons=pairs)
+            if not quote:
+                scoped = parse_match_csv(data, default_spec, league_seasons={("LPL", 2020)})
+                assert [r.game_id for r in scoped] == ["g1", "g1"]
 
 
 def test_a_nul_byte_reads_as_csv_reader_reads_it(default_spec):
@@ -294,7 +372,7 @@ def _forcing_csv_reader(data: bytes, extra: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("forced", ["quote", "nul", "crlf"])
-@pytest.mark.parametrize("leagues", [None, ["CCC"], ["AAA", "BBB"]])
+@pytest.mark.parametrize("leagues", [None, {"CCC": [2020]}, {"AAA": [2020], "BBB": [2020]}])
 def test_splitting_a_quote_free_line_reads_as_csv_reader(forced, leagues, default_spec):
     data = _untidy_csv()
     assert data.split(b"\n")[3].startswith(b"AAA-2020-")
@@ -303,8 +381,8 @@ def test_splitting_a_quote_free_line_reads_as_csv_reader(forced, leagues, defaul
     else:
         other = _forcing_csv_reader(data, b'"x"' if forced == "quote" else b"\0")
     got, want = QualityReport(), QualityReport()
-    assert_same_records(parse_match_csv(data, default_spec, got, leagues),
-                        parse_match_csv(other, default_spec, want, leagues))
+    assert_same_records(parse_match_csv(data, default_spec, got, _pairs(leagues)),
+                        parse_match_csv(other, default_spec, want, _pairs(leagues)))
     assert got.to_dict() == want.to_dict()
     assert got.rows_read > got.records_parsed > 0
     assert {msg for _, msg in got.row_errors} >= {"list index out of range",
@@ -338,10 +416,10 @@ def test_a_byte_order_mark_reads_as_the_same_file_without_it(quoted, default_spe
     data, _ = _three_league_csv(quoted)
     if quoted:
         data = b'"gameid"' + data[len(b"gameid"):]
-    for leagues in (None, ["BBB"]):
+    for pairs in (None, {("BBB", 2020)}):
         plain, marked = QualityReport(), QualityReport()
-        want = parse_match_csv(data, default_spec, plain, leagues)
-        assert_same_records(parse_match_csv(b"\xef\xbb\xbf" + data, default_spec, marked, leagues), want)
+        want = parse_match_csv(data, default_spec, plain, pairs)
+        assert_same_records(parse_match_csv(b"\xef\xbb\xbf" + data, default_spec, marked, pairs), want)
         assert marked.to_dict() == plain.to_dict() and plain.row_errors
 
 
