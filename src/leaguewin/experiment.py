@@ -12,13 +12,14 @@ import io
 import json
 import multiprocessing
 import os
+import traceback
 from collections.abc import Iterator
 from contextlib import closing
 # Unused here; perfbench/spans.py swaps this name for its traced pool.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -174,8 +175,8 @@ def run_cross_league(
     a worker's ``(model, report)`` has the same bits as training it here.
     The test graphs share their propagators (see ``cell_jobs``), so scoring
     several cells builds each model kind's test propagator once.
-    Closing the generator, finishing it or a cell raising stops and joins
-    the pool.
+    Closing the generator, finishing it or a cell failing terminates and
+    joins the workers.
     """
     jobs = cell_jobs(records, plan, cells, spec)
     with closing(pool_map(_train_cell, jobs, cell_workers(len(jobs)))) as trained:
@@ -222,41 +223,79 @@ def cell_workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
+class WorkerFailed(RuntimeError):
+    """A ``pool_map`` job that failed in its worker, named by its index: the worker
+    died or could not pickle its reply, or (as a cause, with its traceback) it raised."""
+
+
 def pool_map(fn, jobs: list, workers: int) -> Iterator:
     """``fn(job)`` for each job, yielded in job order.
 
-    With more than one worker the jobs run in a pool of
-    ``min(workers, len(jobs))`` forked processes, each worker taking the
-    next job in list order as it frees up; otherwise here, one by one.
-    Fork, not spawn: the workers inherit ``fn`` and ``jobs`` unpickled and
-    import nothing; a job's index goes in and only its result comes back.
-    A pool forks its workers before it starts its own threads.  Finishing,
-    closing the generator or a job raising terminates and joins the pool.
+    With more than one worker the jobs run in ``min(workers, len(jobs))``
+    forked processes, one pipe each, each worker taking the next job in
+    list order as it frees up; otherwise here, one by one.  Fork, not
+    spawn: the workers inherit ``fn`` and ``jobs`` unpickled and import
+    nothing; a job's index goes in and only its reply comes back.  The
+    parent starts no threads.  Finishing, closing the generator or a job
+    raising or failing terminates and joins every worker.
     This is the one place the package starts processes.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
         yield from map(fn, jobs)
         return
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn, jobs))
+    from multiprocessing.connection import wait
+    context = multiprocessing.get_context("fork")
+    queued, pool, busy, replies = iter(range(len(jobs))), {}, {}, {}  # pool: pipe -> worker; busy: pipe -> job
     try:
-        yield from pool.imap(_run_worker_job, range(len(jobs)))
+        for job in islice(queued, workers):
+            conn, worker_end = context.Pipe()
+            worker = context.Process(target=_serve, args=(fn, jobs, worker_end, job), daemon=True)
+            worker.start()
+            pool[conn] = worker
+            worker_end.close()
+            busy[conn] = job
+        for index in range(len(jobs)):
+            while index not in replies:
+                ready = wait([*busy, *(pool[conn].sentinel for conn in busy)])
+                for conn, job in list(busy.items()):
+                    try:
+                        if conn in ready:
+                            replies[busy.pop(conn)] = conn.recv()
+                            for job in islice(queued, 1):  # the next job in list order, if any
+                                busy[conn] = job
+                                conn.send(job)
+                        elif pool[conn].sentinel in ready:
+                            raise EOFError
+                    except (EOFError, OSError):
+                        raise WorkerFailed(f"job {job}: its worker died before sending its result") from None
+                    except Exception as exc:
+                        raise WorkerFailed(f"job {job}: its worker's reply could not be unpickled: {exc}") from exc
+            result, remote_traceback = replies.pop(index)
+            if remote_traceback is not None:
+                raise result from WorkerFailed(f"job {index} raised in its worker:\n{remote_traceback}")
+            yield result
     finally:
-        pool.terminate()
-        pool.join()
+        for conn, worker in pool.items():
+            worker.terminate()
+            worker.join()
+            conn.close()
 
 
-_worker_task = None  # (fn, jobs), set only in a pool worker, by _start_worker
-
-
-def _start_worker(fn, jobs):
-    global _worker_task
-    _worker_task = fn, jobs
-
-
-def _run_worker_job(index: int):
-    fn, jobs = _worker_task
-    return fn(jobs[index])
+def _serve(fn, jobs: list, conn, index: int) -> None:
+    """A ``pool_map`` worker: runs job ``index``, then each index it receives,
+    and sends back ``(fn(job), None)`` or the exception raised and its traceback."""
+    while True:
+        try:
+            reply = fn(jobs[index]), None
+        except Exception as exc:
+            reply = exc, traceback.format_exc()
+        try:
+            conn.send(reply)
+        except Exception as exc:  # what fn returned or raised cannot be pickled
+            failed = WorkerFailed(f"job {index}: its reply could not be pickled: {exc}")
+            conn.send((failed, reply[1] or traceback.format_exc()))
+        index = conn.recv()
 
 
 def _call(task):

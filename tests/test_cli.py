@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from leaguewin import cli
+from leaguewin import cli, experiment
 from leaguewin.cli import COMMANDS, cli_main
 
 
@@ -322,6 +324,24 @@ def test_diverging_training_exits_1_and_writes_nothing(command, season_csv, plan
     assert not out.exists()
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="workers fork")
+def test_a_dead_worker_exits_1_and_writes_nothing(season_csv, plan_json, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def killed(job):
+        assert os.getpid() != parent, "a worker must run the cell"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(experiment, "cell_workers", lambda n_tasks: min(2, n_tasks))  # a pool even on one core
+    monkeypatch.setattr(experiment, "_train_cell", killed)
+    out = tmp_path / "o"
+    assert cli_main(["compare", "--data", str(season_csv), "--plan", str(plan_json), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: job ") and "its worker died before sending its result" in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command", ["grid-search", "compare"])
 def test_config_features_reach_grid_search_and_compare(command, season_csv, plan_json, tmp_path, capsys):
     # A feature column the CSV lacks fails the parse, so the config's feature set was read.
@@ -346,7 +366,9 @@ def test_simulate_config_leagues_and_seed_flag(tmp_path):
 
 def test_simulate_and_ingest_load_no_sparse_matrices(tmp_path):
     # Only commands that build a graph import scipy.sparse, which pulls in
-    # numpy.testing, numpy.f2py and numpy.ma through its array-API layer.
+    # numpy.testing, numpy.f2py and numpy.ma through its array-API layer;
+    # only pool_map, which neither command reaches, imports
+    # multiprocessing.connection.
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"n_teams": 4}))
     code = f"""
@@ -354,7 +376,8 @@ import sys
 from leaguewin.cli import cli_main
 assert cli_main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "season.csv")!r}]) == 0
 assert cli_main(["ingest", "--data", {str(tmp_path / "season.csv")!r}, "--out", {str(tmp_path / "ingest")!r}]) == 0
-loaded = sorted(m for m in ("scipy.sparse", "numpy.testing", "numpy.f2py", "numpy.ma") if m in sys.modules)
+loaded = sorted(m for m in ("scipy.sparse", "numpy.testing", "numpy.f2py", "numpy.ma", "multiprocessing.connection",
+                            "multiprocessing.pool") if m in sys.modules)
 assert not loaded, loaded
 """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

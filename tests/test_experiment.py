@@ -1,7 +1,12 @@
 import ast
+import errno
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import product
@@ -325,6 +330,110 @@ def test_no_worker_outlives_a_raising_task_or_a_closed_map(monkeypatch):
     assert next(results) == 1
     assert multiprocessing.active_children()
     results.close()
+    assert multiprocessing.active_children() == []
+
+
+KILLED_WORKER = """
+import multiprocessing, os, signal, time
+from leaguewin import experiment
+
+def job(index):
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.2)
+    return index
+
+try:
+    list(experiment.pool_map(job, [0, 1, 2, 3], 2))
+except Exception as exc:
+    assert isinstance(exc, experiment.WorkerFailed), repr(exc)
+    assert str(exc).startswith("job 1: its worker died"), str(exc)
+else:
+    raise AssertionError("a killed worker went unnoticed")
+assert multiprocessing.active_children() == []
+"""
+
+
+@fork_only
+def test_a_killed_worker_fails_the_map_naming_its_job():
+    # In a child interpreter: a map that waits forever for the killed job
+    # fails this test at the timeout instead of hanging the suite.
+    env = {**os.environ, "PYTHONPATH": str(Path(experiment.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def _return_or_raise(job):
+    kind, value = job
+    if kind == "raise":
+        raise value
+    return value() if kind == "call" else value
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@fork_only
+def test_a_worker_exception_arrives_with_its_traceback_as_cause():
+    jobs = [("return", 0), ("raise", KeyError("lost")), ("return", 2)]
+    with pytest.raises(KeyError, match="lost") as raised:
+        list(experiment.pool_map(_return_or_raise, jobs, 2))
+    cause = raised.value.__cause__
+    assert isinstance(cause, experiment.WorkerFailed)
+    assert str(cause).startswith("job 1 raised in its worker:\nTraceback (most recent call last):")
+    assert "in _return_or_raise" in str(cause) and "KeyError: 'lost'" in str(cause)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+@pytest.mark.parametrize("job, message", [
+    (("call", threading.Lock), "job 1: its reply could not be pickled: cannot pickle '_thread.lock' object"),
+    (("raise", ValueError(threading.Lock())), "job 1: its reply could not be pickled: cannot pickle"),
+    (("raise", TwoArgumentError(1, 2)), "job 1: its worker's reply could not be unpickled: "),
+], ids=["unpicklable-result", "unpicklable-exception", "exception-that-cannot-be-rebuilt"])
+def test_a_reply_that_cannot_cross_the_pipe_fails_naming_its_job(job, message):
+    # The map raises rather than hangs, naming the job, and leaves no worker.
+    with pytest.raises(experiment.WorkerFailed) as raised:
+        list(experiment.pool_map(_return_or_raise, [("return", 0), job, ("return", 2)], 2))
+    assert str(raised.value).startswith(message)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_refused_fork_raises_its_error_and_stops_the_started_workers(monkeypatch):
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def start(process):
+        if started:
+            raise OSError(errno.EAGAIN, "fork refused")
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    with pytest.raises(OSError, match="fork refused"):
+        list(experiment.pool_map(abs, [-1, 2, -3], 2))
+    assert len(started) == 1 and started[0].exitcode is not None
+    assert multiprocessing.active_children() == []
+
+
+def _finish_time(sleep):
+    time.sleep(sleep)
+    return time.monotonic()
+
+
+@fork_only
+def test_results_come_in_job_order_and_the_parent_starts_no_threads():
+    threads = threading.active_count()
+    counts = []
+    finished = []
+    for finish in experiment.pool_map(_finish_time, [0.5, 0, 0, 0], 2):
+        counts.append(threading.active_count())
+        finished.append(finish)
+    assert finished[1] < finished[0]  # job 1 finished first, yet came second
+    assert counts == [threads] * 4
     assert multiprocessing.active_children() == []
 
 

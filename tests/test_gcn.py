@@ -395,7 +395,7 @@ def test_train_divergence_raises():
 
 
 def test_training_diverged_survives_a_pickle_round_trip():
-    # Pool workers send their exceptions back pickled.
+    # pool_map's workers send their exceptions back through their pipes, pickled.
     exc = pickle.loads(pickle.dumps(TrainingDiverged(2)))
     assert isinstance(exc, TrainingDiverged)
     assert exc.epoch == 2
